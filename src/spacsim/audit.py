@@ -19,8 +19,8 @@ import numpy as np
 
 from .fock import final_pointer_state, moments, oracle_kappa_sq
 from .params import FIGURE_PRESET, ExperimentParams, validate
-from .printed import printed_moments, printed_wigner, printed_kappa_sq
-from .wigner import wigner_values
+from .printed import printed_kappa_sq, printed_moments, printed_wigner_values
+from .wigner import wigner_grid_values
 
 MOMENT_QUANTITIES = ("n_mean", "m_a", "m_a2", "m_a2d2", "m_a4")
 ALL_QUANTITIES = MOMENT_QUANTITIES + ("kappa_sq", "wigner")
@@ -111,30 +111,18 @@ def _row(q: str, params: ExperimentParams, x: float, p: float, oracle: complex, 
     )
 
 
-def _wigner_rows(
-    params: ExperimentParams, half_width: float, step: float, workers: int
-) -> list[ComparisonRow]:
+def _wigner_rows(params: ExperimentParams, half_width: float, step: float) -> list[ComparisonRow]:
     from .sweeps import grid_values  # local import avoids a cycle
 
     axis = grid_values(-half_width, half_width, step)
-    zs = axis[:, None] + 1j * axis[None, :]
     state = final_pointer_state(params)
-    oracle_grid = wigner_values(state, zs, workers)
-    rows = []
-    for i, x in enumerate(axis):
-        for j, p in enumerate(axis):
-            z = complex(x, p)
-            rows.append(
-                _row(
-                    "wigner",
-                    params,
-                    float(x),
-                    float(p),
-                    complex(oracle_grid[i, j]),
-                    complex(printed_wigner(params, z)),
-                )
-            )
-    return rows
+    oracle_grid = wigner_grid_values(state, axis, axis)
+    printed_grid = printed_wigner_values(params, axis[:, None] + 1j * axis[None, :])
+    return [
+        _row("wigner", params, float(x), float(p), complex(oracle_grid[i, j]), complex(printed_grid[i, j]))
+        for i, x in enumerate(axis)
+        for j, p in enumerate(axis)
+    ]
 
 
 def compare(
@@ -142,7 +130,6 @@ def compare(
     quantities: tuple[str, ...] = ALL_QUANTITIES,
     wigner_half_width: float = DEFAULT_WIGNER_HALF_WIDTH,
     wigner_step: float = DEFAULT_WIGNER_STEP,
-    workers: int = 1,
 ) -> tuple[list[ComparisonRow], list[QuantitySummary]]:
     """Audit the printed formulas against the oracle over a grid.
 
@@ -162,7 +149,7 @@ def compare(
     for params in grid:
         rows.extend(_pair_rows(params, quantities))
         if "wigner" in quantities:
-            rows.extend(_wigner_rows(params, wigner_half_width, wigner_step, workers))
+            rows.extend(_wigner_rows(params, wigner_half_width, wigner_step))
 
     summaries: list[QuantitySummary] = []
     fitted: list[ComparisonRow] = []

@@ -18,6 +18,8 @@ import math
 import os
 import sys
 
+from numpy.linalg import LinAlgError
+
 from . import __version__
 from .audit import (
     ALL_QUANTITIES,
@@ -67,7 +69,7 @@ def _add_param_flags(parser: argparse.ArgumentParser, r: float, s: float) -> Non
 
 def _add_common_flags(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
     parser.add_argument("--backend", choices=("oracle", "printed"), default="oracle")
-    parser.add_argument("--workers", type=int, default=1, help="threads for grid/sweep evaluation")
+    parser.add_argument("--workers", type=int, default=1, help="threads for sweep evaluation (wigner and audit accept and ignore it)")
     if out_required:
         parser.add_argument("--out", required=True, help="output CSV path")
 
@@ -223,7 +225,7 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
     ps = grid_values(args.p_min, args.p_max, args.grid_step)
     if args.backend == "oracle":
         state = final_pointer_state(params)
-        values = wigner_grid_values(state, xs, ps, args.workers)
+        values = wigner_grid_values(state, xs, ps)
     else:
         values = printed_wigner_values(params, xs[:, None] + 1j * ps[None, :])
     grid = WignerGrid(
@@ -251,7 +253,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         tuple(args.quantities),
         wigner_half_width=args.wigner_half_width,
         wigner_step=args.wigner_step,
-        workers=args.workers,
     )
     header = [
         "quantity", "r", "theta", "delta", "phi", "s", "x", "p",
@@ -324,7 +325,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (TruncationTooSmall, NonPositiveNorm) as exc:
+    except (TruncationTooSmall, NonPositiveNorm, LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught before it
         print(f"spacsim: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

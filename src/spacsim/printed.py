@@ -272,8 +272,33 @@ def printed_wigner(params: ExperimentParams, z: complex) -> float:
     return prefactor * math.exp(-2.0 * abs(z - alpha) ** 2) * brace
 
 
+def _w_helper_values(alpha: complex, s: float, zs: np.ndarray) -> np.ndarray:
+    """:func:`_w_helper` term for term over an array of points."""
+    shifted = np.abs(2 * zs - alpha) ** 2
+    return (
+        math.exp(-s * s / 2.0)
+        * np.exp(-2.0 * (alpha.real - zs.real) * s)
+        * (-1.0 + shifted + 2 * s * (alpha.real - 2 * zs.real + s / 2.0))
+    )
+
+
 def printed_wigner_values(params: ExperimentParams, zs: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`printed_wigner` over an array of points."""
+    """:func:`printed_wigner` term for term over an array of points (any shape).
+
+    Overflow raises FloatingPointError where the scalar form raises
+    OverflowError, rather than leaving inf * 0 = NaN in the result.
+    """
+    validate(params)
+    alpha, s = params.alpha, params.s
     zs = np.asarray(zs, dtype=np.complex128)
-    flat = np.array([printed_wigner(params, z) for z in zs.ravel()])
-    return flat.reshape(zs.shape)
+    w = weak_value(params.delta, params.phi)
+    k2 = printed_kappa_sq(params)
+    with np.errstate(over="raise"):
+        cross = (1 + w).conjugate() * (1 - w) * np.exp(2j * s * zs.imag)
+        brace = (
+            abs(1 + w) ** 2 * _w_helper_values(alpha, s, zs)
+            + abs(1 - w) ** 2 * _w_helper_values(alpha, -s, zs)
+            + 2.0 * (-1.0 + np.abs(2 * zs - alpha) ** 2) * cross.real
+        )
+        prefactor = 2.0 * k2 / (math.pi * (1.0 + abs(alpha) ** 2))
+        return prefactor * np.exp(-2.0 * np.abs(zs - alpha) ** 2) * brace

@@ -47,6 +47,8 @@ def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
     The count is derived from the step; hi must sit on the grid within
     a small relative tolerance.
     """
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"range [{lo}, {hi}] with step {step} is not finite")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo:

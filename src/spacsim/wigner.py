@@ -1,18 +1,35 @@
 """Wigner quasi-probability of truncated pure states.
 
-Primary route: the displaced-parity identity
+Two independent routes to the same quantity, with X = (a + a^dagger)/2
+and P = (a - a^dagger)/2i, so that W integrates to one over dx dp and
+a coherent state |alpha> peaks at x + ip = alpha:
 
-    W(z) = (2/pi) * sum_n (-1)^n |<n| D(-z) |psi>|^2,
+* Rectangular grids (:func:`wigner_grid_values`) use the position
+  representation (Hillery, O'Connell, Scully & Wigner, Phys. Rep. 106,
+  121 (1984))
 
-exact for truncated states and vectorisable over whole phase-space
-grids (two dense matrix products per batch of points).  A direct 2D
-quadrature of the characteristic function <D(lambda)> is kept as an
-independent spot-check of the same quantity; the two algorithms share
-no code beyond the displacement primitive.
+      W(x, p) = (2/pi) * integral psi*(x+y) psi(x-y) exp(4ipy) dy.
 
-States are zero-padded (an exact embedding) to a dimension large
-enough that the displaced state clears the truncation tail check even
-at the far corners of a grid.
+  psi is evaluated once, by the normalised Hermite-function recurrence,
+  on a uniform lattice that holds every x_i +- y_k of the grid, so the
+  integrand is built by indexing and the y integral is one matrix
+  product per grid.  The lattice step and the y range follow from the
+  state's Fock support: with n_s levels kept, psi and its Fourier
+  transform both vanish beyond the turning point sqrt(n_s + 1/2) plus
+  :data:`SUPPORT_MARGIN`.
+
+* Scattered points (:func:`wigner_point`, :func:`wigner_values`) use
+  the displaced-parity identity (Royer, Phys. Rev. A 15, 449 (1977))
+
+      W(z) = (2/pi) * sum_n (-1)^n |<n| D(-z) |psi>|^2,
+
+  evaluated with the exact truncated displacement after zero-padding
+  the state (an exact embedding) to a dimension large enough that the
+  displaced state clears the truncation tail check.  This is the
+  reference the grid route is tested against.
+
+A direct 2D quadrature of the characteristic function <D(lambda)> is
+kept as a third, independent spot-check of the parity route.
 """
 
 from __future__ import annotations
@@ -34,6 +51,22 @@ from .fock import (
 
 #: Grid points evaluated per matrix product; bounds chunk memory.
 CHUNK = 4096
+
+#: Fock levels above the last one whose tail mass reaches this are dropped
+#: by the grid route; their amplitudes are below representable precision.
+SUPPORT_CUTOFF = 1e-32
+
+#: Distance in x (and p) beyond the turning point sqrt(n_s + 1/2) of n_s
+#: kept levels over which psi and its Fourier transform decay; |psi|^2
+#: ends below 1e-45 for the vacuum and lower for higher levels.
+SUPPORT_MARGIN = 6.0
+
+#: Largest |psi|^2 tolerated at the ends of the grid route's y range; the
+#: dropped part of the integral is of this order.
+PSI_TAIL_THRESHOLD = 1e-24
+
+#: Ceiling of the Hermite recurrence's scaled frame; h_n above it is divided by it.
+_RESCALE = 1e150
 
 
 def required_dim(state: FockVector, beta_max: float) -> int:
@@ -82,12 +115,88 @@ def wigner_values(state: FockVector, zs: np.ndarray, workers: int = 1) -> np.nda
     return flat.reshape(zs.shape)
 
 
+def _position_amplitudes(amps: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """psi(x) = <x|psi> for X = (a + a^dagger)/2 at every point of ``xs``.
+
+    Sums amps[n] * 2^(1/4) h_n(sqrt(2) x) with the normalised Hermite
+    functions h_n from their three-term recurrence.  The recurrence runs
+    in a per-point scaled frame: h_0 = pi^(-1/4) exp(-u^2/2) underflows
+    for |u| > ~38.6 although h_n is O(1) near the turning point of
+    high levels, so the frame starts at exp(-u^2/2) = 1 and is divided
+    by _RESCALE, with a running log-scale, wherever h_n exceeds it.
+    In this frame h_(n-1) and h_n are never both far below 1, so it
+    never needs scaling up.
+    """
+    u = math.sqrt(2.0) * np.asarray(xs, dtype=float)
+    log_scale = -0.5 * u * u - 0.25 * math.log(math.pi)
+    prev = np.zeros_like(u)
+    cur = np.ones_like(u)
+    acc = amps[0] * cur
+    for n in range(1, amps.size):
+        prev, cur = cur, math.sqrt(2.0 / n) * u * cur - math.sqrt((n - 1) / n) * prev
+        acc += amps[n] * cur
+        big = np.abs(cur) > _RESCALE
+        if big.any():
+            prev[big] /= _RESCALE
+            cur[big] /= _RESCALE
+            acc[big] /= _RESCALE
+            log_scale[big] += math.log(_RESCALE)
+    return 2.0**0.25 * acc * np.exp(log_scale)
+
+
 def wigner_grid_values(
     state: FockVector, xs: np.ndarray, ps: np.ndarray, workers: int = 1
 ) -> np.ndarray:
-    """Wigner function on a rectangular grid; entry (i, j) is W(xs[i] + i*ps[j])."""
-    zs = np.asarray(xs, dtype=float)[:, None] + 1j * np.asarray(ps, dtype=float)[None, :]
-    return wigner_values(state, zs, workers)
+    """Wigner function on a rectangular grid; entry (i, j) is W(xs[i] + i*ps[j]).
+
+    ``xs`` must be an increasing uniform grid (any ``linspace``); ``ps``
+    may be any finite points.  Position-representation route, see the
+    module docstring; ``workers`` is accepted for call compatibility
+    and ignored, since the work is one matrix product.
+
+    Raises TruncationTooSmall when psi is not negligible at the ends
+    of the y range, which would cut off part of the integral.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ps))):
+        raise ValueError("grid coordinates must be finite")
+    if xs.size == 0 or ps.size == 0:
+        return np.zeros((xs.size, ps.size))
+
+    levels = state.support(SUPPORT_CUTOFF)
+    y_max = math.sqrt(levels + 0.5) + SUPPORT_MARGIN
+    # the integrand's angular frequencies in y stay below 4 * y_max (two
+    # factors of psi) plus 4 |p| (the kernel); sampling below the Nyquist
+    # step makes the lattice sum equal the integral
+    dy_max = 2.0 * math.pi / (4.0 * y_max + 4.0 * float(np.max(np.abs(ps))))
+    if xs.size > 1:
+        h = (xs[-1] - xs[0]) / (xs.size - 1)
+        if not h > 0 or np.max(np.abs(xs - (xs[0] + h * np.arange(xs.size)))) > 1e-6 * h:
+            raise ValueError("xs must be an increasing uniform grid")
+        sub = math.ceil(h / (2.0 * dy_max))  # lattice steps per half x spacing
+        step = h / (2 * sub)
+    else:
+        sub, step = 1, dy_max
+    # y_k = k * stride * step, so x_i +- y_k is lattice point
+    # 2*sub*i + stride*(half_k +- k)
+    stride = max(1, int(dy_max // step))
+    dy = stride * step
+    half_k = math.ceil(y_max / dy)
+    count = 2 * sub * (xs.size - 1) + 2 * stride * half_k + 1
+    lattice = xs[0] + step * (np.arange(count) - stride * half_k)
+    psi = _position_amplitudes(state.amps[:levels], np.append(lattice, (-y_max, y_max)))
+    edge = float(np.max(np.abs(psi[-2:]) ** 2))
+    if edge > PSI_TAIL_THRESHOLD:
+        raise TruncationTooSmall(
+            f"|psi|^2 is {edge:.3e} at the y-range ends +-{y_max:.3g}; "
+            f"the position-representation integral would be cut off"
+        )
+    ks = np.arange(-half_k, half_k + 1)
+    centre = stride * half_k + 2 * sub * np.arange(xs.size)
+    integrand = psi[centre[:, None] + stride * ks].conj() * psi[centre[:, None] - stride * ks]
+    kernel = np.exp(4j * dy * np.outer(ks, ps))
+    return (2.0 / math.pi) * dy * (integrand @ kernel).real
 
 
 def wigner_normalization(

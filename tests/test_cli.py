@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from spacsim.cli import main
@@ -182,6 +183,31 @@ class TestExitCodes:
         assert not out.exists()
         message = capsys.readouterr().err
         assert "phi=" in message and "s=" in message  # names the failing row
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("wigner", "--x-max", "inf"),
+            ("wigner", "--grid-step", "nan"),
+            ("audit", "--wigner-step", "inf"),
+        ],
+    )
+    def test_non_finite_range_is_invalid_input(self, argv, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run(*argv, "--out", str(out)) == 2
+        assert "invalid arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eigh_failure_is_numerical_failure(self, monkeypatch, capsys):
+        from spacsim.fock import _displacement_basis
+
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        _displacement_basis.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        assert run("point", "--s", "0.5") == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestDeterminism:

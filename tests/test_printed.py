@@ -17,6 +17,7 @@ from spacsim.printed import (
     printed_kappa_sq,
     printed_moments,
     printed_wigner,
+    printed_wigner_values,
     t3,
     w1,
 )
@@ -118,3 +119,15 @@ class TestPrintedWigner:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             value = printed_wigner(FIGURE_PRESET.with_(s=rng.uniform(0, 4)), z)
             assert isinstance(value, float) and math.isfinite(value)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
+    def test_vectorised_matches_scalar_on_panel_grid(self, r, s):
+        p = FIGURE_PRESET.with_(r=r, s=s)
+        axis = np.linspace(-4.0, 4.0, 33)
+        zs = axis[:, None] + 1j * axis[None, :]
+        values = printed_wigner_values(p, zs)
+        assert values.shape == zs.shape
+        for z, v in zip(zs.ravel(), values.ravel()):
+            ref = printed_wigner(p, z)
+            assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))

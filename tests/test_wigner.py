@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from spacsim import wigner
+from spacsim.errors import TruncationTooSmall
 from spacsim.fock import basis_state, coherent, final_pointer_state, spacs
 from spacsim.params import FIGURE_PRESET
 from spacsim.wigner import (
@@ -64,6 +66,38 @@ class TestDisplacedParity:
         serial = wigner_values(state, zs, workers=1)
         threaded = wigner_values(state, zs, workers=4)
         assert np.array_equal(serial, threaded)
+
+
+class TestPositionRepresentationGrid:
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
+    def test_agrees_with_displaced_parity_on_figure_panels(self, r, s):
+        state = final_pointer_state(FIGURE_PRESET.with_(r=r, s=s))
+        axis = np.linspace(-4.0, 4.0, 201)
+        grid = wigner_grid_values(state, axis, axis)
+        rng = np.random.default_rng(int(10 * r + 100 * s))
+        for i, j in rng.integers(0, axis.size, size=(8, 2)):
+            ref = wigner_point(state, complex(axis[i], axis[j]))
+            assert abs(grid[i, j] - ref) <= 1e-12
+
+    def test_coherent_closed_form_at_large_amplitude(self):
+        # exp(-u^2/2) underflows at u = sqrt(2) * 30, where psi is O(1)
+        alpha = 30.0
+        xs = np.linspace(alpha - 1.5, alpha + 1.5, 31)
+        ps = np.linspace(-1.5, 1.5, 21)
+        grid = wigner_grid_values(coherent(alpha, 1400), xs, ps)
+        zs = xs[:, None] + 1j * ps[None, :]
+        assert np.max(np.abs(grid - BOUND * np.exp(-2.0 * np.abs(zs - alpha) ** 2))) <= 1e-12
+
+    def test_tail_guard_fires_when_y_range_cuts_psi(self, monkeypatch):
+        monkeypatch.setattr(wigner, "SUPPORT_MARGIN", 0.5)
+        axis = np.linspace(-2.0, 2.0, 41)
+        with pytest.raises(TruncationTooSmall):
+            wigner_grid_values(spacs(1.0, 64), axis, axis)
+
+    def test_rejects_non_uniform_xs(self):
+        with pytest.raises(ValueError):
+            wigner_grid_values(spacs(1.0, 64), np.array([0.0, 0.1, 0.3]), np.array([0.0]))
 
 
 class TestQuadratureCrossCheck:
