@@ -69,7 +69,7 @@ def _add_param_flags(parser: argparse.ArgumentParser, r: float, s: float) -> Non
 
 def _add_common_flags(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
     parser.add_argument("--backend", choices=("oracle", "printed"), default="oracle")
-    parser.add_argument("--workers", type=int, default=1, help="threads for sweep evaluation (wigner and audit accept and ignore it)")
+    parser.add_argument("--workers", type=int, default=1, help="accepted so that old manifests rerun; ignored by every command")
     if out_required:
         parser.add_argument("--out", required=True, help="output CSV path")
 

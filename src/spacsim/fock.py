@@ -4,9 +4,23 @@ Everything downstream (squeezing witnesses, fidelity curves, Wigner
 grids, the closed-form audit) is checked against the states and
 expectation values produced here.  States are plain complex amplitude
 arrays over the photon-number basis; annihilation acts as a banded
-shift, so all five field moments cost O(N) per state.  Displacements
-are exact unitaries obtained by diagonalising the truncated generator
-once per dimension and recycling the factorisation.
+shift, so all five field moments cost O(N) per state.
+
+The pointer state is built exactly, in O(N) per state, from the
+operator identity
+
+    D(beta) adag |alpha> = exp(i Im(beta alpha*)) (adag - beta*) |alpha + beta>,
+
+so each displaced branch of the photon-added coherent state (Agarwal &
+Tara, Phys. Rev. A 43, 492 (1991)) needs only coherent amplitudes and
+a shift.  :func:`pointer_columns` does this for a whole batch of
+parameter points at once, one column per point.  Coherent amplitudes
+are built in log space, so no intermediate overflows at any amplitude.
+
+:func:`displace` applies the truncated displacement unitary, obtained
+by diagonalising its generator once per dimension; it is the generic
+reference the exact construction is tested against, and the
+displaced-parity Wigner route uses it.
 """
 
 from __future__ import annotations
@@ -26,7 +40,8 @@ log = logging.getLogger(__name__)
 #: Number of top Fock levels whose combined weight is treated as "tail".
 TAIL_LEVELS = 4
 
-#: Maximum tolerated tail mass for any constructed state.
+#: Maximum tolerated tail share: the fraction of a constructed state's
+#: squared norm in its top TAIL_LEVELS levels.
 TAIL_THRESHOLD = 1e-10
 
 #: Unitarity drift above which a displaced state is renormalised loudly.
@@ -59,7 +74,11 @@ class FockVector:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """The five field moments entering the squeezing witnesses."""
+    """The five field moments entering the squeezing witnesses.
+
+    Scalars for one state; :func:`column_moments` fills each field with
+    one value per column instead.
+    """
 
     m_a: complex
     m_a2: complex
@@ -68,18 +87,44 @@ class MomentSet:
     m_a2d2: float
 
 
+def _normalised(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-norm columns, each column's tail share and its norm.
+
+    The tail share is the fraction of a column's squared norm in its top
+    :data:`TAIL_LEVELS` levels.  Columns are divided by their largest
+    modulus first, so neither the share nor the norm underflows for
+    tiny amplitudes; a column with no finite nonzero amplitude comes out
+    NaN throughout.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.max(np.abs(cols), axis=0)
+        scaled = cols / scale
+        prob = scaled.real**2 + scaled.imag**2
+        total = np.sum(prob, axis=0)
+        share = np.sum(prob[-TAIL_LEVELS:], axis=0) / total
+        root = np.sqrt(total)
+        return scaled / root, share, scale * root
+
+
+def _tail_failure(what: str, share: float, dim: int) -> str:
+    """Why a state with this tail share fails the truncation check, or ''."""
+    if share <= TAIL_THRESHOLD:
+        return ""
+    if math.isnan(share):
+        return f"{what}: no finite nonzero amplitude in {dim} levels; increase the truncation dimension"
+    return (
+        f"{what}: tail share {share:.3e} of the norm in the top {TAIL_LEVELS} of {dim} "
+        f"levels exceeds {TAIL_THRESHOLD:.0e}; increase the truncation dimension"
+    )
+
+
 def _as_state(amps: np.ndarray, what: str) -> FockVector:
     """Normalise, tail-check and freeze an amplitude array."""
-    tail = float(np.sum(np.abs(amps[-TAIL_LEVELS:]) ** 2))
-    if tail > TAIL_THRESHOLD:
-        raise TruncationTooSmall(
-            f"{what}: tail mass {tail:.3e} in top {TAIL_LEVELS} of {amps.size} "
-            f"levels exceeds {TAIL_THRESHOLD:.0e}; increase the truncation dimension"
-        )
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise ValueError(f"{what}: zero vector cannot be normalised")
-    out = np.asarray(amps / norm, dtype=np.complex128)
+    cols, share, _ = _normalised(np.asarray(amps, dtype=np.complex128)[:, None])
+    reason = _tail_failure(what, float(share[0]), amps.size)
+    if reason:
+        raise TruncationTooSmall(reason)
+    out = np.ascontiguousarray(cols[:, 0])
     out.setflags(write=False)
     return FockVector(dim=out.size, amps=out)
 
@@ -93,19 +138,40 @@ def basis_state(n: int, dim: int) -> FockVector:
     return _as_state(amps, f"basis_state({n})")
 
 
-def coherent(alpha: complex, dim: int) -> FockVector:
-    """Coherent state with amplitude ``alpha``.
+def _coherent_columns(alphas: np.ndarray, dim: int) -> np.ndarray:
+    """Coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!), one column per amplitude.
 
-    Coefficients alpha**n / sqrt(n!) are built by cumulative products,
-    which stays finite for any dimension.
+    Built in log space, as exp(n log a - |a|^2/2 - log(n!)/2), so the
+    magnitudes (all at most 1) never overflow; far from level |a|^2
+    they underflow to zero.
     """
+    r = np.abs(alphas)
+    n = np.arange(dim)[:, None]
+    half_log_fact = np.array([math.lgamma(k + 1.0) / 2 for k in range(dim)])[:, None]
+    log_alpha = np.log(np.where(r > 0, r, 1.0)) + 1j * np.angle(alphas)
+    amps = np.exp(n * log_alpha - r**2 / 2 - half_log_fact)
+    amps[1:, r == 0] = 0.0
+    return amps
+
+
+def _level_roots(amps: np.ndarray) -> np.ndarray:
+    """sqrt(1), ..., sqrt(len - 1), shaped to broadcast along axis 0 of ``amps``."""
+    return np.sqrt(np.arange(1, amps.shape[0])).reshape((-1,) + (1,) * (amps.ndim - 1))
+
+
+def _raised(amps: np.ndarray) -> np.ndarray:
+    """Apply the creation operator along axis 0, dropping the top level."""
+    out = np.zeros_like(amps)
+    out[1:] = _level_roots(amps) * amps[:-1]
+    return out
+
+
+def coherent(alpha: complex, dim: int) -> FockVector:
+    """Coherent state with amplitude ``alpha``; finite for any amplitude and dimension."""
     if dim < 2:
         raise ValueError(f"coherent state needs dim >= 2, got {dim}")
     alpha = complex(alpha)
-    ratios = np.ones(dim, dtype=np.complex128)
-    ratios[1:] = alpha / np.sqrt(np.arange(1, dim))
-    amps = np.cumprod(ratios) * math.exp(-abs(alpha) ** 2 / 2)
-    return _as_state(amps, f"coherent({alpha})")
+    return _as_state(_coherent_columns(np.array([alpha]), dim)[:, 0], f"coherent({alpha})")
 
 
 def spacs(alpha: complex, dim: int) -> FockVector:
@@ -117,10 +183,7 @@ def spacs(alpha: complex, dim: int) -> FockVector:
     """
     if dim < 3:
         raise ValueError(f"photon-added state needs dim >= 3, got {dim}")
-    base = coherent(alpha, dim)
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[1:] = np.sqrt(np.arange(1, dim)) * base.amps[:-1]
-    return _as_state(amps, f"spacs({alpha})")
+    return _as_state(_raised(coherent(alpha, dim).amps), f"spacs({alpha})")
 
 
 def pad(state: FockVector, dim: int) -> FockVector:
@@ -223,16 +286,74 @@ def displace(beta: complex, state: FockVector) -> FockVector:
     return _as_state(out, f"displace({beta})")
 
 
-def _pointer_branches(params: ExperimentParams) -> tuple[complex, FockVector, FockVector]:
-    """Weak value plus the two displaced copies of the initial state."""
+@dataclass(frozen=True)
+class PointerColumns:
+    """Initial and postselected pointer states of a batch of points, one column each.
+
+    ``initial`` and ``final`` are (dim, k) arrays of unit-norm columns;
+    ``norm_sq[j]`` is the squared norm of column j's branch superposition
+    before normalising.  ``errors[j]`` is empty, or says why column j
+    failed the truncation tail check; its columns are then NaN.
+    """
+
+    initial: np.ndarray
+    final: np.ndarray
+    norm_sq: np.ndarray
+    errors: tuple[str, ...]
+
+
+def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
+    """Initial and final pointer states for arrays (or scalars) of alpha, s and w.
+
+    ``initial[:, j]`` is the photon-added coherent state |phi> ~ adag|alpha>
+    and ``final[:, j]`` is (1 + w) D(s/2)|phi> + (1 - w) D(-s/2)|phi>,
+    both normalised.  Each branch is built exactly, with no
+    diagonalisation, as
+
+        D(beta)|phi> ~ exp(i Im(beta alpha*)) (adag - beta*) |alpha + beta>
+
+    and normalised.  The photon-added state, both branches and the
+    superposition are tail-checked in that order, and the first failure
+    names the column's error.
+    """
+    alphas, s, w = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(alphas, dtype=np.complex128)),
+        np.atleast_1d(np.asarray(s, dtype=np.float64)),
+        np.atleast_1d(np.asarray(w, dtype=np.complex128)),
+    )
+    if dim < 3:
+        raise ValueError(f"photon-added state needs dim >= 3, got {dim}")
+    initial, initial_share, _ = _normalised(_raised(_coherent_columns(alphas, dim)))
+    branches = []
+    for beta in (s / 2, -s / 2):  # real, so beta* = beta
+        shifted = _coherent_columns(alphas + beta, dim)
+        phase = np.exp(1j * (beta * alphas.conj()).imag)
+        branches.append(_normalised(phase * (_raised(shifted) - beta * shifted)))
+    (plus, plus_share, _), (minus, minus_share, _) = branches
+    final, final_share, norm = _normalised((1 + w) * plus + (1 - w) * minus)
+    final[:, s == 0] = initial[:, s == 0]  # both branches are the initial state there
+
+    shares = np.stack([initial_share, plus_share, minus_share, final_share])
+    failed = ~(shares <= TAIL_THRESHOLD)  # a NaN share fails too
+    errors = [""] * alphas.size
+    for j in np.flatnonzero(failed.any(axis=0)):
+        step = int(np.argmax(failed[:, j]))
+        half = float(s[j]) / 2
+        what = (f"spacs({alphas[j]})", f"displace({half})", f"displace({-half})", f"final_pointer_state(s={float(s[j])})")
+        errors[j] = _tail_failure(what[step], float(shares[step, j]), dim)
+    bad = failed.any(axis=0)
+    initial[:, bad] = np.nan
+    final[:, bad] = np.nan
+    return PointerColumns(initial=initial, final=final, norm_sq=norm**2, errors=tuple(errors))
+
+
+def pointer_column(params: ExperimentParams) -> PointerColumns:
+    """:func:`pointer_columns` for one validated point; raises TruncationTooSmall if it fails."""
     validate(params)
-    w = weak_value(params.delta, params.phi)
-    initial = spacs(params.alpha, params.trunc)
-    if params.s == 0:
-        return w, initial, initial
-    plus = displace(params.s / 2, initial)
-    minus = displace(-params.s / 2, initial)
-    return w, plus, minus
+    cols = pointer_columns(params.alpha, params.s, weak_value(params.delta, params.phi), params.trunc)
+    if cols.errors[0]:
+        raise TruncationTooSmall(cols.errors[0])
+    return cols
 
 
 def pointer_norm_sq(params: ExperimentParams) -> float:
@@ -241,9 +362,7 @@ def pointer_norm_sq(params: ExperimentParams) -> float:
     This is the quantity the printed normalisation coefficient must
     reproduce: kappa^2 equals 2 divided by this norm.
     """
-    w, plus, minus = _pointer_branches(params)
-    vec = (1 + w) * plus.amps + (1 - w) * minus.amps
-    return float(np.linalg.norm(vec) ** 2)
+    return float(pointer_column(params).norm_sq[0])
 
 
 def oracle_kappa_sq(params: ExperimentParams) -> float:
@@ -258,38 +377,48 @@ def final_pointer_state(params: ExperimentParams) -> FockVector:
     displaced branches, normalised numerically.  At s = 0 both branches
     coincide and the initial photon-added state is returned exactly.
     """
-    w, plus, minus = _pointer_branches(params)
-    if plus is minus:
-        return plus
-    vec = (1 + w) * plus.amps + (1 - w) * minus.amps
-    return _as_state(vec, f"final_pointer_state(s={params.s})")
+    amps = np.ascontiguousarray(pointer_column(params).final[:, 0])
+    amps.setflags(write=False)
+    return FockVector(dim=amps.size, amps=amps)
 
 
 def lowered(amps: np.ndarray) -> np.ndarray:
-    """Apply the annihilation operator to an amplitude array.
+    """Apply the annihilation operator along axis 0 (one state, or each column).
 
     Pure down-shift, so repeated application stays exact in the
     truncated space.
     """
     out = np.zeros_like(amps)
-    out[:-1] = np.sqrt(np.arange(1, amps.size)) * amps[1:]
+    out[:-1] = _level_roots(amps) * amps[1:]
     return out
 
 
-def moments(state: FockVector) -> MomentSet:
-    """All five field moments of a state by banded ladder action."""
-    psi = state.amps
-    n = np.arange(state.dim)
-    prob = np.abs(psi) ** 2
+def column_moments(psi: np.ndarray) -> MomentSet:
+    """All five field moments of every column of a (dim, k) amplitude array."""
+    n = np.arange(psi.shape[0])[:, None]
+    bra = psi.conj()
+    prob = psi.real**2 + psi.imag**2
     a1 = lowered(psi)
     a2 = lowered(a1)
     a4 = lowered(lowered(a2))
     return MomentSet(
-        m_a=complex(np.vdot(psi, a1)),
-        m_a2=complex(np.vdot(psi, a2)),
-        m_a4=complex(np.vdot(psi, a4)),
-        n_mean=float(np.sum(n * prob)),
-        m_a2d2=float(np.sum(n * (n - 1) * prob)),
+        m_a=np.sum(bra * a1, axis=0),
+        m_a2=np.sum(bra * a2, axis=0),
+        m_a4=np.sum(bra * a4, axis=0),
+        n_mean=np.sum(n * prob, axis=0),
+        m_a2d2=np.sum(n * (n - 1) * prob, axis=0),
+    )
+
+
+def moments(state: FockVector) -> MomentSet:
+    """All five field moments of a state by banded ladder action."""
+    m = column_moments(state.amps[:, None])
+    return MomentSet(
+        m_a=complex(m.m_a[0]),
+        m_a2=complex(m.m_a2[0]),
+        m_a4=complex(m.m_a4[0]),
+        n_mean=float(m.n_mean[0]),
+        m_a2d2=float(m.m_a2d2[0]),
     )
 
 

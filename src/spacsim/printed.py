@@ -246,11 +246,16 @@ def printed_moments(params: ExperimentParams) -> PrintedMomentSet:
 
 
 def _w_helper(alpha: complex, s: float, z: complex) -> float:
-    """Printed Wigner helper w(.); the sign of s selects the branch."""
+    """Printed Wigner helper w(.) times the outer factor exp(-2|z - alpha|^2).
+
+    The sign of s selects the branch.  The three exponentials of the
+    printed form are combined into one exponent, -2(x - Re alpha - s/2)^2
+    - 2(p - Im alpha)^2 <= 0, so far from the origin the product
+    underflows to zero instead of overflowing.
+    """
     shifted = abs(2 * z - alpha) ** 2
     return (
-        math.exp(-s * s / 2.0)
-        * math.exp(-2.0 * (alpha.real - z.real) * s)
+        math.exp(-s * s / 2.0 - 2.0 * (alpha.real - z.real) * s - 2.0 * abs(z - alpha) ** 2)
         * (-1.0 + shifted + 2 * s * (alpha.real - 2 * z.real + s / 2.0))
     )
 
@@ -266,18 +271,17 @@ def printed_wigner(params: ExperimentParams, z: complex) -> float:
     brace = (
         abs(1 + w) ** 2 * _w_helper(alpha, s, z)
         + abs(1 - w) ** 2 * _w_helper(alpha, -s, z)
-        + 2.0 * (-1.0 + abs(2 * z - alpha) ** 2) * cross.real
+        + 2.0 * (-1.0 + abs(2 * z - alpha) ** 2) * cross.real * math.exp(-2.0 * abs(z - alpha) ** 2)
     )
     prefactor = 2.0 * k2 / (math.pi * (1.0 + abs(alpha) ** 2))
-    return prefactor * math.exp(-2.0 * abs(z - alpha) ** 2) * brace
+    return prefactor * brace
 
 
 def _w_helper_values(alpha: complex, s: float, zs: np.ndarray) -> np.ndarray:
     """:func:`_w_helper` term for term over an array of points."""
     shifted = np.abs(2 * zs - alpha) ** 2
     return (
-        math.exp(-s * s / 2.0)
-        * np.exp(-2.0 * (alpha.real - zs.real) * s)
+        np.exp(-s * s / 2.0 - 2.0 * (alpha.real - zs.real) * s - 2.0 * np.abs(zs - alpha) ** 2)
         * (-1.0 + shifted + 2 * s * (alpha.real - 2 * zs.real + s / 2.0))
     )
 
@@ -298,7 +302,7 @@ def printed_wigner_values(params: ExperimentParams, zs: np.ndarray) -> np.ndarra
         brace = (
             abs(1 + w) ** 2 * _w_helper_values(alpha, s, zs)
             + abs(1 - w) ** 2 * _w_helper_values(alpha, -s, zs)
-            + 2.0 * (-1.0 + np.abs(2 * zs - alpha) ** 2) * cross.real
+            + 2.0 * (-1.0 + np.abs(2 * zs - alpha) ** 2) * cross.real * np.exp(-2.0 * np.abs(zs - alpha) ** 2)
         )
         prefactor = 2.0 * k2 / (math.pi * (1.0 + abs(alpha) ** 2))
-        return prefactor * np.exp(-2.0 * np.abs(zs - alpha) ** 2) * brace
+        return prefactor * brace

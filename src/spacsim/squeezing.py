@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock import MomentSet, fidelity, final_pointer_state, moments, spacs
+import numpy as np
+
+from .fock import MomentSet, PointerColumns, column_moments, pointer_column
 from .params import ExperimentParams
 from .printed import PrintedMomentSet, printed_moments
 
@@ -62,6 +64,13 @@ def report_from_moments(m: Moments, fidelity_to_initial: float) -> SqueezingRepo
     )
 
 
+def column_reports(cols: PointerColumns) -> list[SqueezingReport]:
+    """One report per column of a pointer batch; a failed column reports NaN."""
+    fid = np.abs(np.sum(cols.initial.conj() * cols.final, axis=0)) ** 2
+    batch = report_from_moments(column_moments(cols.final), fid)
+    return [SqueezingReport(*values) for values in zip(*(field.tolist() for field in vars(batch).values()))]
+
+
 def point_report(params: ExperimentParams, backend: str = "oracle") -> SqueezingReport:
     """Full squeezing report for one parameter point.
 
@@ -70,9 +79,7 @@ def point_report(params: ExperimentParams, backend: str = "oracle") -> Squeezing
     give no fidelity, reported as NaN).
     """
     if backend == "oracle":
-        state = final_pointer_state(params)
-        initial = spacs(params.alpha, params.trunc)
-        return report_from_moments(moments(state), fidelity(initial, state))
+        return column_reports(pointer_column(params))[0]
     if backend == "printed":
         return report_from_moments(printed_moments(params), math.nan)
     raise ValueError(f"unknown backend {backend!r}")

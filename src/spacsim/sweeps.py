@@ -3,8 +3,11 @@
 A sweep walks one scenario parameter (coupling s or amplitude r)
 across a uniform grid for several postselection angles and collects a
 squeezing report per point.  Rows are emitted in a fixed order
-(angle outer, swept parameter inner) and each row is independent, so
-evaluation parallelises without changing the output.
+(angle outer, swept parameter inner).  The oracle backend evaluates a
+sweep column by column: blocks of points go through
+:func:`~spacsim.fock.pointer_columns` at once, and a point whose state
+fails the truncation tail check becomes a row error marker while the
+sweep carries on.  Any other error propagates.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_ordered
-from .params import ExperimentParams, validate
-from .squeezing import SqueezingReport, point_report
+from .errors import TruncationTooSmall
+from .fock import pointer_columns
+from .params import ExperimentParams, validate, weak_value
+from .squeezing import SqueezingReport, column_reports, point_report
 
 #: Default grid step for both sweep kinds; smooth curves at O(N) cost per point.
 DEFAULT_STEP = 0.02
@@ -27,7 +31,9 @@ DEFAULT_PHIS = (math.pi / 3, math.pi / 2, 2 * math.pi / 3, 7 * math.pi / 9)
 #: Coupling values of the fidelity-versus-amplitude figure.
 FIDELITY_COUPLINGS = (0.5, 1.0, 2.0, 3.0)
 
-ROW_CHUNK = 32
+#: Complex amplitudes per array in one block of sweep columns; a block holds
+#: max(1, BLOCK_ELEMENTS // trunc) points, which bounds memory before allocating.
+BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -59,27 +65,30 @@ def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, count + 1)
 
 
-def _run_rows(points: list[ExperimentParams], backend: str, workers: int) -> list[SweepRow]:
-    def eval_chunk(sl: slice) -> list[SweepRow]:
-        rows = []
-        for p in points[sl]:
-            try:
-                report = point_report(p, backend)
-                rows.append(SweepRow(phi=p.phi, r=p.r, s=p.s, report=report))
-            except Exception as exc:  # row-level marker, sweep carries on
-                rows.append(
-                    SweepRow(
-                        phi=p.phi,
-                        r=p.r,
-                        s=p.s,
-                        report=SqueezingReport(*(math.nan,) * 6),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-        return rows
-
-    chunks = run_ordered(eval_chunk, len(points), ROW_CHUNK, workers)
-    return [row for chunk in chunks for row in chunk]
+def _run_rows(points: list[ExperimentParams], backend: str) -> list[SweepRow]:
+    """Validate every point, then evaluate them all; points share one truncation."""
+    for p in points:
+        validate(p)
+    if backend == "printed":
+        reports = [point_report(p, backend) for p in points]
+        errors = [""] * len(points)
+    elif backend == "oracle":
+        reports, errors = [], []
+        dim = points[0].trunc if points else 1
+        width = max(1, BLOCK_ELEMENTS // dim)
+        for lo in range(0, len(points), width):
+            block = points[lo : lo + width]
+            cols = pointer_columns(
+                [p.alpha for p in block], [p.s for p in block], [weak_value(p.delta, p.phi) for p in block], dim
+            )
+            reports += column_reports(cols)
+            errors += [f"{TruncationTooSmall.__name__}: {e}" if e else "" for e in cols.errors]
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    return [
+        SweepRow(phi=p.phi, r=p.r, s=p.s, report=report, error=error)
+        for p, report, error in zip(points, reports, errors)
+    ]
 
 
 def sweep_s(
@@ -89,12 +98,17 @@ def sweep_s(
     backend: str = "oracle",
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Sweep the coupling ratio at fixed amplitude, one curve per angle."""
+    """Sweep the coupling ratio at fixed amplitude, one curve per angle.
+
+    ``workers`` is accepted, so that old callers and manifests still
+    work, and ignored: a block of columns is a handful of array
+    operations.
+    """
     validate(base)
     lo, hi, step = s_range
     values = grid_values(lo, hi, step)
     points = [base.with_(phi=phi, s=float(s)) for phi in phis for s in values]
-    return _run_rows(points, backend, workers)
+    return _run_rows(points, backend)
 
 
 def sweep_r(
@@ -104,12 +118,12 @@ def sweep_r(
     backend: str = "oracle",
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Sweep the coherent amplitude at fixed coupling, one curve per angle."""
+    """Sweep the coherent amplitude at fixed coupling, one curve per angle (``workers`` is ignored)."""
     validate(base)
     lo, hi, step = r_range
     values = grid_values(lo, hi, step)
     points = [base.with_(phi=phi, r=float(r)) for phi in phis for r in values]
-    return _run_rows(points, backend, workers)
+    return _run_rows(points, backend)
 
 
 def fidelity_table(

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, manifests, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,15 +200,47 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_eigh_failure_is_numerical_failure(self, monkeypatch, capsys):
-        from spacsim.fock import _displacement_basis
+        # the point path no longer diagonalises; a LinAlgError raised on it
+        # (a ValueError subclass) must still exit 3, not 2
+        import spacsim.squeezing
 
-        def failing_eigh(*args, **kwargs):
+        def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-        _displacement_basis.cache_clear()
-        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        monkeypatch.setattr(spacsim.squeezing, "pointer_column", failing)
         assert run("point", "--s", "0.5") == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_invalid_swept_value_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run("fig1a", "--s-min", "-1", "--s-max", "0", "--s-step", "1", "--out", str(out)) == 2
+        assert "invalid arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_amplitude_with_large_truncation(self, capsys):
+        assert run("point", "--r", "40", "--trunc", "4000") == 0
+        values = TestPointCommand().parse(capsys.readouterr().out)
+        for key in ("s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity_to_initial"):
+            assert math.isfinite(float(values[key]))
+
+    def test_large_amplitude_with_small_truncation_is_numerical_failure(self, capsys):
+        assert run("point", "--r", "40") == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_tail_report_is_a_share_of_the_norm(self, capsys):
+        assert run("point", "--r", "30") == 3
+        message = capsys.readouterr().err
+        share = float(re.search(r"tail share (\S+)", message).group(1))
+        assert 0.5 < share <= 1.0
+
+    def test_printed_wigner_far_from_origin(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert run(
+            "wigner", "--backend", "printed", "--s", "4", "--x-min", "100", "--x-max", "101",
+            "--p-min", "0", "--p-max", "0", "--grid-step", "1", "--out", str(out),
+        ) == 0
+        _, rows = read_csv(out)
+        assert [row[2] for row in rows] == [0.0, 0.0]
 
 
 class TestDeterminism:

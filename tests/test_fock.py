@@ -7,16 +7,20 @@ import pytest
 
 from spacsim.errors import DimensionMismatch, TruncationTooSmall
 from spacsim.fock import (
+    FockVector,
     basis_state,
     coherent,
+    column_moments,
+    displace,
     displaced_columns,
     fidelity,
     final_pointer_state,
     moments,
+    pointer_columns,
     pointer_norm_sq,
     spacs,
 )
-from spacsim.params import FIGURE_PRESET
+from spacsim.params import FIGURE_PRESET, weak_value
 from spacsim.printed import printed_kappa_sq
 
 
@@ -194,3 +198,63 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             fidelity(basis_state(0, 16), basis_state(0, 32))
+
+
+class TestLargeAmplitudes:
+    def test_spacs_mean_photon_number_at_large_amplitude(self):
+        # (|a|^4 + 3|a|^2 + 1) / (1 + |a|^2); a^n / sqrt(n!) alone overflows here
+        a2 = 40.0**2
+        n_mean = moments(spacs(40.0, 4000)).n_mean
+        assert n_mean == pytest.approx((a2 * a2 + 3 * a2 + 1) / (1 + a2), rel=1e-9)
+
+    def test_tail_check_uses_normalised_share(self):
+        # unnormalised top-level mass is about 1e-226, but it is 99.96 % of the state
+        with pytest.raises(TruncationTooSmall, match="tail share"):
+            coherent(30.0, 128)
+
+    def test_all_underflow_is_truncation_failure(self):
+        with pytest.raises(TruncationTooSmall):
+            coherent(100.0, 128)
+
+
+def reference_pointer(alpha, s, w, dim):
+    """Initial state and normalised pointer state through spacs and the eigh-based displace."""
+    initial = spacs(alpha, dim)
+    vec = (1 + w) * displace(s / 2, initial).amps + (1 - w) * displace(-s / 2, initial).amps
+    return initial, FockVector(dim=dim, amps=vec / np.linalg.norm(vec)), float(np.linalg.norm(vec) ** 2)
+
+
+class TestPointerColumns:
+    @pytest.mark.parametrize("dim", [128, 256])
+    def test_matches_eigh_route(self, dim):
+        rng = np.random.default_rng(dim)
+        alphas = rng.uniform(0, 3, 40) * np.exp(1j * rng.uniform(0, 2 * math.pi, 40))
+        alphas[0] = 0.0
+        s = rng.uniform(0, 4, 40)
+        s[1] = 0.0
+        w = np.array([weak_value(d, p) for d, p in zip(rng.uniform(0, 2 * math.pi, 40), rng.uniform(0, 3.0, 40))])
+        cols = pointer_columns(alphas, s, w, dim)
+        assert cols.errors == ("",) * 40
+        m = column_moments(cols.final)
+        for j in range(40):
+            initial, final, norm_sq = reference_pointer(alphas[j], s[j], w[j], dim)
+            assert np.max(np.abs(cols.initial[:, j] - initial.amps)) < 1e-12
+            assert np.max(np.abs(cols.final[:, j] - final.amps)) < 1e-12
+            assert cols.norm_sq[j] == pytest.approx(norm_sq, rel=1e-12)
+            ref = moments(final)
+            for field in ("m_a", "m_a2", "m_a4", "n_mean", "m_a2d2"):
+                assert abs(getattr(m, field)[j] - getattr(ref, field)) < 1e-12 * max(1.0, abs(getattr(ref, field)))
+
+    def test_failed_columns_carry_reasons_and_nan(self):
+        cols = pointer_columns([0.5, 3.0, 0.5], [0.5, 0.5, 8.0], 0.3, 24)
+        assert cols.errors[0] == ""
+        assert cols.errors[1].startswith("spacs(") and "tail share" in cols.errors[1]
+        assert cols.errors[2].startswith("displace(")
+        assert np.all(np.isfinite(cols.final[:, 0]))
+        assert np.all(np.isnan(cols.final[:, 1:])) and np.all(np.isnan(cols.initial[:, 1:]))
+
+    def test_single_point_uses_the_same_columns(self):
+        p = FIGURE_PRESET.with_(s=1.3)
+        cols = pointer_columns(p.alpha, p.s, weak_value(p.delta, p.phi), p.trunc)
+        assert np.array_equal(final_pointer_state(p).amps, cols.final[:, 0])
+        assert pointer_norm_sq(p) == float(cols.norm_sq[0])

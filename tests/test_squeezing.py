@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from spacsim.fock import basis_state, coherent, moments, spacs
-from spacsim.params import FIGURE_PRESET
-from spacsim.squeezing import min_variances, point_report, s_ass, s_os
+import spacsim.sweeps
+from spacsim.errors import TruncationTooSmall
+from spacsim.fock import FockVector, basis_state, coherent, displace, fidelity, moments, spacs
+from spacsim.params import FIGURE_PRESET, weak_value
+from spacsim.squeezing import min_variances, point_report, report_from_moments, s_ass, s_os
 from spacsim.sweeps import fidelity_table, grid_values, sweep_r, sweep_s
 
 
@@ -126,3 +128,64 @@ class TestFidelityTable:
         rvals, table = fidelity_table(FIGURE_PRESET, r_range=(1.0, 1.0, 1.0))
         values = [table[s][0].report.fidelity_to_initial for s in (0.5, 1.0, 2.0, 3.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+REPORT_FIELDS = ("s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity_to_initial")
+
+
+def reference_report(p):
+    """One sweep point through spacs, the eigh-based displace, moments and fidelity."""
+    initial = spacs(p.alpha, p.trunc)
+    w = weak_value(p.delta, p.phi)
+    vec = (1 + w) * displace(p.s / 2, initial).amps + (1 - w) * displace(-p.s / 2, initial).amps
+    final = FockVector(dim=vec.size, amps=vec / np.linalg.norm(vec))
+    return report_from_moments(moments(final), fidelity(initial, final))
+
+
+def assert_matches_reference(row, base, swept, tol):
+    ref = reference_report(base.with_(phi=row.phi, **{swept: getattr(row, swept)}))
+    for field in REPORT_FIELDS:
+        got, want = getattr(row.report, field), getattr(ref, field)
+        assert abs(got - want) <= tol * max(1.0, abs(want)), (row, field, got, want)
+
+
+class TestColumnSweeps:
+    @pytest.mark.parametrize("trunc", [128, 256])
+    def test_random_angle_sweeps_match_eigh_route(self, trunc):
+        rng = np.random.default_rng(trunc)
+        phis = (0.4, FIGURE_PRESET.phi)
+        for _ in range(2):
+            base = FIGURE_PRESET.with_(
+                theta=rng.uniform(0, 2 * math.pi), delta=rng.uniform(0, 2 * math.pi), trunc=trunc
+            )
+            by_s = sweep_s(base, phis=phis, s_range=(0.0, 4.0, 0.25))
+            by_r = sweep_r(base, phis=phis, r_range=(0.0, 3.0, 0.25))
+            assert by_s[0].s == 0.0 and by_r[0].r == 0.0
+            for rows, swept in ((by_s, "s"), (by_r, "r")):
+                for row in rows:
+                    assert row.error == ""
+                    assert_matches_reference(row, base, swept, 1e-12)
+
+    def test_small_truncation_gives_good_and_error_rows(self):
+        base = FIGURE_PRESET.with_(trunc=32)
+        rows = sweep_r(base, phis=(FIGURE_PRESET.phi,), r_range=(0.0, 4.0, 0.1))
+        good = [row for row in rows if not row.error]
+        bad = [row for row in rows if row.error]
+        assert good and bad
+        for row in good:
+            # both routes are only as good as the truncation: next to the accepted
+            # tail share of 1e-10 they differ from the exact values by up to ~1e-10
+            assert_matches_reference(row, base, "r", 1e-9)
+        for row in bad:
+            assert row.error.startswith("TruncationTooSmall: ")
+            assert all(math.isnan(getattr(row.report, field)) for field in REPORT_FIELDS)
+            with pytest.raises(TruncationTooSmall):
+                reference_report(base.with_(r=row.r))
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken builder")
+
+        monkeypatch.setattr(spacsim.sweeps, "pointer_columns", broken)
+        with pytest.raises(TypeError, match="broken builder"):
+            sweep_s(FIGURE_PRESET, s_range=(0.0, 0.5, 0.25))
