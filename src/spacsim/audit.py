@@ -13,11 +13,11 @@ deliverable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import final_pointer_state, moments, oracle_kappa_sq
+from .fock import column_state, moments, pointer_column
 from .params import FIGURE_PRESET, ExperimentParams, validate
 from .printed import printed_kappa_sq, printed_moments, printed_wigner_values
 from .wigner import wigner_grid_values
@@ -32,6 +32,16 @@ DEFAULT_S_VALUES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 #: Default phase-space sampling for the printed Wigner audit.
 DEFAULT_WIGNER_HALF_WIDTH = 3.0
 DEFAULT_WIGNER_STEP = 0.75
+
+#: The parameters each audited point echoes, in column order.
+ECHOED = ("r", "theta", "delta", "phi", "s")
+
+#: Columns of the audit CSV, one row per audited point.
+CSV_HEADER = [
+    "quantity", *ECHOED, "x", "p",
+    "oracle_re", "oracle_im", "printed_re", "printed_im",
+    "raw_residual", "fitted_scale", "scaled_residual",
+]
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,43 @@ class QuantitySummary:
     n_points: int
 
 
+@dataclass(frozen=True)
+class QuantityColumns:
+    """Every audited point of one quantity, one array entry per point.
+
+    ``echo`` holds one array per name in :data:`ECHOED`; ``x`` and
+    ``p`` are the phase-space coordinates, NaN for non-Wigner points.
+    """
+
+    quantity: str
+    echo: dict[str, np.ndarray]
+    x: np.ndarray
+    p: np.ndarray
+    oracle: np.ndarray
+    printed: np.ndarray
+    raw_residual: np.ndarray
+    scale: float
+    scaled_residual: np.ndarray
+
+    def summary(self) -> QuantitySummary:
+        # Python's max, not np.max: a NaN residual after the first point does not hide the worst finite one
+        return QuantitySummary(
+            quantity=self.quantity,
+            scale=self.scale,
+            max_raw_residual=max(self.raw_residual.tolist()),
+            max_scaled_residual=max(self.scaled_residual.tolist()),
+            n_points=self.oracle.size,
+        )
+
+    def rows(self) -> list[ComparisonRow]:
+        columns = [self.echo[name] for name in ECHOED] + [self.x, self.p, self.oracle, self.printed, self.raw_residual]
+        columns = [column.tolist() for column in columns]
+        return [
+            ComparisonRow(self.quantity, *values, scale=self.scale, scaled_residual=scaled)
+            for *values, scaled in zip(*columns, self.scaled_residual.tolist())
+        ]
+
+
 def default_audit_grid(
     base: ExperimentParams = FIGURE_PRESET,
     r_values: tuple[float, ...] = DEFAULT_R_VALUES,
@@ -79,50 +126,103 @@ def fit_scale(printed_vals: np.ndarray, oracle_vals: np.ndarray) -> float:
     return float(np.sum((printed_vals * oracle_vals.conj()).real) / denom)
 
 
-def _pair_rows(params: ExperimentParams, quantities: tuple[str, ...]) -> list[ComparisonRow]:
-    wanted_moments = [q for q in quantities if q in MOMENT_QUANTITIES]
-    rows: list[ComparisonRow] = []
-    if wanted_moments or "kappa_sq" in quantities:
-        om = moments(final_pointer_state(params))
-        pm = printed_moments(params)
-        for q in wanted_moments:
-            ov, pv = complex(getattr(om, q)), complex(getattr(pm, q))
-            rows.append(_row(q, params, math.nan, math.nan, ov, pv))
-        if "kappa_sq" in quantities:
-            ov = complex(oracle_kappa_sq(params))
-            pv = complex(printed_kappa_sq(params))
-            rows.append(_row("kappa_sq", params, math.nan, math.nan, ov, pv))
-    return rows
+def _residual(printed: np.ndarray, oracle_re: np.ndarray, oracle_im: np.ndarray) -> np.ndarray:
+    # hypot of the parts, as Python's complex abs computes it; np.abs differs in the last bit
+    return np.hypot(printed.real - oracle_re, printed.imag - oracle_im)
 
 
-def _row(q: str, params: ExperimentParams, x: float, p: float, oracle: complex, printed: complex) -> ComparisonRow:
-    return ComparisonRow(
-        quantity=q,
-        r=params.r,
-        theta=params.theta,
-        delta=params.delta,
-        phi=params.phi,
-        s=params.s,
+def _fitted(
+    quantity: str, echo: dict[str, np.ndarray], x: np.ndarray, p: np.ndarray, oracle, printed
+) -> QuantityColumns:
+    """Fit the scale of one quantity and compute both residuals as array operations."""
+    oracle = np.asarray(oracle, dtype=np.complex128)
+    printed = np.asarray(printed, dtype=np.complex128)
+    scale = fit_scale(printed, oracle)
+    return QuantityColumns(
+        quantity=quantity,
+        echo=echo,
         x=x,
         p=p,
         oracle=oracle,
         printed=printed,
-        raw_residual=abs(printed - oracle),
+        raw_residual=_residual(printed, oracle.real, oracle.imag),
+        scale=scale,
+        scaled_residual=_residual(printed, scale * oracle.real, scale * oracle.imag),
     )
 
 
-def _wigner_rows(params: ExperimentParams, half_width: float, step: float) -> list[ComparisonRow]:
+def audit_columns(
+    grid: list[ExperimentParams] | None = None,
+    quantities: tuple[str, ...] = ALL_QUANTITIES,
+    wigner_half_width: float = DEFAULT_WIGNER_HALF_WIDTH,
+    wigner_step: float = DEFAULT_WIGNER_STEP,
+) -> list[QuantityColumns]:
+    """Audit the printed formulas against the oracle over a grid, as columns.
+
+    One :class:`QuantityColumns` per requested quantity, in the order
+    requested (a repeated name counts once), with its points in grid
+    order.  Each state is built once, by :func:`pointer_column`.
+    """
     from .sweeps import grid_values  # local import avoids a cycle
 
-    axis = grid_values(-half_width, half_width, step)
-    state = final_pointer_state(params)
-    oracle_grid = wigner_grid_values(state, axis, axis)
-    printed_grid = printed_wigner_values(params, axis[:, None] + 1j * axis[None, :])
-    return [
-        _row("wigner", params, float(x), float(p), complex(oracle_grid[i, j]), complex(printed_grid[i, j]))
-        for i, x in enumerate(axis)
-        for j, p in enumerate(axis)
+    unknown = set(quantities) - set(ALL_QUANTITIES)
+    if unknown:
+        raise ValueError(f"unknown quantities: {sorted(unknown)}")
+    if grid is None:
+        grid = default_audit_grid()
+    for params in grid:
+        validate(params)
+    quantities = tuple(dict.fromkeys(quantities))
+    if not (grid and quantities):
+        return []
+    wanted_moments = [q for q in quantities if q in MOMENT_QUANTITIES]
+
+    pairs: dict[str, tuple[list, list]] = {q: ([], []) for q in quantities}
+    if "wigner" in quantities:
+        axis = grid_values(-wigner_half_width, wigner_half_width, wigner_step)
+        zs = axis[:, None] + 1j * axis[None, :]
+    for params in grid:
+        cols = pointer_column(params)
+        state = column_state(cols.final[:, 0])
+        if wanted_moments:
+            om = moments(state)
+            pm = printed_moments(params)
+            for q in wanted_moments:
+                pairs[q][0].append(complex(getattr(om, q)))
+                pairs[q][1].append(complex(getattr(pm, q)))
+        if "kappa_sq" in quantities:
+            pairs["kappa_sq"][0].append(2.0 / float(cols.norm_sq[0]))
+            pairs["kappa_sq"][1].append(complex(printed_kappa_sq(params)))
+        if "wigner" in quantities:
+            pairs["wigner"][0].append(wigner_grid_values(state, axis, axis).ravel())
+            pairs["wigner"][1].append(printed_wigner_values(params, zs).ravel())
+
+    echo = {name: np.array([getattr(params, name) for params in grid], dtype=float) for name in ECHOED}
+    nan = np.full(len(grid), math.nan)
+    out = []
+    for q in quantities:
+        oracle, printed = pairs[q]
+        if q == "wigner":
+            n = axis.size
+            owner = np.repeat(np.arange(len(grid)), n * n)  # grid index of each point
+            x, p = np.tile(np.repeat(axis, n), len(grid)), np.tile(axis, n * len(grid))
+            oracle, printed = np.concatenate(oracle), np.concatenate(printed)
+            out.append(_fitted(q, {k: v[owner] for k, v in echo.items()}, x, p, oracle, printed))
+        else:
+            out.append(_fitted(q, echo, nan, nan, oracle, printed))
+    return out
+
+
+def csv_columns(columns: list[QuantityColumns]) -> list:
+    """The columns of the audit CSV (see :data:`CSV_HEADER`), quantity after quantity."""
+    labels = [c.quantity for c in columns for _ in range(c.oracle.size)]
+    parts = [
+        [c.echo[name] for name in ECHOED]
+        + [c.x, c.p, c.oracle.real, c.oracle.imag, c.printed.real, c.printed.imag]
+        + [c.raw_residual, np.full(c.oracle.size, c.scale), c.scaled_residual]
+        for c in columns
     ]
+    return [labels] + [np.concatenate(part) for part in zip(*parts)]
 
 
 def compare(
@@ -136,37 +236,7 @@ def compare(
     Returns every comparison row, grouped by quantity in the order
     requested and in grid order within each group, plus one
     per-quantity summary with the fitted scale and the worst residuals.
+    The rows are built from :func:`audit_columns`.
     """
-    unknown = set(quantities) - set(ALL_QUANTITIES)
-    if unknown:
-        raise ValueError(f"unknown quantities: {sorted(unknown)}")
-    if grid is None:
-        grid = default_audit_grid()
-    for params in grid:
-        validate(params)
-
-    rows: list[ComparisonRow] = []
-    for params in grid:
-        rows.extend(_pair_rows(params, quantities))
-        if "wigner" in quantities:
-            rows.extend(_wigner_rows(params, wigner_half_width, wigner_step))
-
-    summaries: list[QuantitySummary] = []
-    fitted: list[ComparisonRow] = []
-    for q in (q for q in quantities if any(r.quantity == q for r in rows)):
-        group = [r for r in rows if r.quantity == q]
-        scale = fit_scale(
-            np.array([r.printed for r in group]), np.array([r.oracle for r in group])
-        )
-        scaled = [replace(r, scale=scale, scaled_residual=abs(r.printed - scale * r.oracle)) for r in group]
-        fitted.extend(scaled)
-        summaries.append(
-            QuantitySummary(
-                quantity=q,
-                scale=scale,
-                max_raw_residual=max(r.raw_residual for r in scaled),
-                max_scaled_residual=max(r.scaled_residual for r in scaled),
-                n_points=len(scaled),
-            )
-        )
-    return fitted, summaries
+    columns = audit_columns(grid, quantities, wigner_half_width, wigner_step)
+    return [row for c in columns for row in c.rows()], [c.summary() for c in columns]

@@ -23,16 +23,18 @@ from numpy.linalg import LinAlgError
 from . import __version__
 from .audit import (
     ALL_QUANTITIES,
+    CSV_HEADER,
     DEFAULT_R_VALUES,
     DEFAULT_S_VALUES,
     DEFAULT_WIGNER_HALF_WIDTH,
     DEFAULT_WIGNER_STEP,
-    compare,
+    audit_columns,
+    csv_columns,
     default_audit_grid,
 )
 from .errors import NonPositiveNorm, SpacsimError, TruncationTooSmall
 from .fock import final_pointer_state
-from .io import WignerGrid, load_manifest, manifest_argv, write_csv, write_manifest
+from .io import WignerGrid, load_manifest, manifest_argv, write_columns, write_manifest
 from .params import DEFAULT_TRUNC, ExperimentParams, validate
 from .printed import printed_wigner_values
 from .squeezing import point_report
@@ -40,6 +42,7 @@ from .sweeps import DEFAULT_PHIS, FIDELITY_COUPLINGS, SweepRow, grid_values, swe
 from .wigner import wigner_grid_values
 
 REPORT_COLUMNS = ["s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity"]
+_REPORT_FIELDS = ["s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity_to_initial"]
 
 _PRESET_THETA = math.pi / 4
 _PRESET_DELTA = math.pi / 6
@@ -192,12 +195,9 @@ def _cmd_fig(args: argparse.Namespace) -> int:
         swept_col = "r"
     _fail_on_row_errors(rows)
     header = ["phi", swept_col] + REPORT_COLUMNS
-    table = [
-        [row.phi, getattr(row, swept_col)]
-        + [row.report.s_os, row.report.s_ass, row.report.var_x_min, row.report.var_y_min, row.report.n_mean, row.report.fidelity_to_initial]
-        for row in rows
-    ]
-    write_csv(args.out, header, table)
+    columns = [[row.phi for row in rows], [getattr(row, swept_col) for row in rows]]
+    columns += [[getattr(row.report, name) for row in rows] for name in _REPORT_FIELDS]
+    write_columns(args.out, header, columns)
     write_manifest(args.out, args.command, _sweep_config(args, args.swept), __version__)
     return 0
 
@@ -211,8 +211,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
         _fail_on_row_errors(rows)
         columns[s] = [row.report.fidelity_to_initial for row in rows]
     header = ["r"] + [f"fidelity_s{float(s)!r}" for s in args.s_values]
-    table = [[float(r)] + [columns[s][i] for s in args.s_values] for i, r in enumerate(r_grid)]
-    write_csv(args.out, header, table)
+    write_columns(args.out, header, [r_grid] + [columns[s] for s in args.s_values])
     config = _sweep_config(args, "r")
     config["s_values"] = [float(s) for s in args.s_values]
     write_manifest(args.out, "fig3", config, __version__)
@@ -234,7 +233,7 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
     )
     if args.backend == "oracle" and not grid.within_bounds():
         raise SpacsimError("oracle Wigner values violate the 2/pi bound; numerical failure")
-    write_csv(args.out, ["x", "p", "w"], grid.rows())
+    write_columns(args.out, ["x", "p", "w"], grid.columns())
     config = {
         "r": params.r, "theta": params.theta, "delta": params.delta, "phi": params.phi,
         "s": params.s, "trunc": params.trunc, "backend": args.backend, "workers": args.workers,
@@ -248,26 +247,14 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     base = _params_from(args)
     grid = default_audit_grid(base, tuple(args.r_values), tuple(args.s_values))
-    rows, summaries = compare(
+    results = audit_columns(
         grid,
         tuple(args.quantities),
         wigner_half_width=args.wigner_half_width,
         wigner_step=args.wigner_step,
     )
-    header = [
-        "quantity", "r", "theta", "delta", "phi", "s", "x", "p",
-        "oracle_re", "oracle_im", "printed_re", "printed_im",
-        "raw_residual", "fitted_scale", "scaled_residual",
-    ]
-    table = [
-        [
-            row.quantity, row.r, row.theta, row.delta, row.phi, row.s, row.x, row.p,
-            row.oracle.real, row.oracle.imag, row.printed.real, row.printed.imag,
-            row.raw_residual, row.scale, row.scaled_residual,
-        ]
-        for row in rows
-    ]
-    write_csv(args.out, header, table)
+    write_columns(args.out, CSV_HEADER, csv_columns(results))
+    summaries = [c.summary() for c in results]
     summary = {
         s.quantity: {
             "scale": s.scale,
@@ -313,8 +300,15 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_rerun(args: argparse.Namespace) -> int:
-    manifest = load_manifest(args.manifest)
-    return main(manifest_argv(manifest, out_override=args.out))
+    try:
+        argv = manifest_argv(load_manifest(args.manifest), out_override=args.out)
+    except OSError as exc:
+        raise ValueError(f"manifest {args.manifest}: cannot read it: {exc.strerror or exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"manifest {args.manifest}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"manifest {args.manifest}: not a spacsim manifest: {exc}") from exc
+    return main(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,12 +33,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationTooSmall
-from .params import ExperimentParams, validate, weak_value
+from .params import TAIL_LEVELS, ExperimentParams, validate, weak_value
 
 log = logging.getLogger(__name__)
-
-#: Number of top Fock levels whose combined weight is treated as "tail".
-TAIL_LEVELS = 4
 
 #: Maximum tolerated tail share: the fraction of a constructed state's
 #: squared norm in its top TAIL_LEVELS levels.
@@ -143,13 +140,16 @@ def _coherent_columns(alphas: np.ndarray, dim: int) -> np.ndarray:
 
     Built in log space, as exp(n log a - |a|^2/2 - log(n!)/2), so the
     magnitudes (all at most 1) never overflow; far from level |a|^2
-    they underflow to zero.
+    they underflow to zero.  When |a|^2 itself overflows every amplitude
+    is zero, and the tail check reports it, so numpy's overflow warning
+    is silenced.
     """
     r = np.abs(alphas)
     n = np.arange(dim)[:, None]
     half_log_fact = np.array([math.lgamma(k + 1.0) / 2 for k in range(dim)])[:, None]
     log_alpha = np.log(np.where(r > 0, r, 1.0)) + 1j * np.angle(alphas)
-    amps = np.exp(n * log_alpha - r**2 / 2 - half_log_fact)
+    with np.errstate(over="ignore"):
+        amps = np.exp(n * log_alpha - r**2 / 2 - half_log_fact)
     amps[1:, r == 0] = 0.0
     return amps
 
@@ -377,7 +377,12 @@ def final_pointer_state(params: ExperimentParams) -> FockVector:
     displaced branches, normalised numerically.  At s = 0 both branches
     coincide and the initial photon-added state is returned exactly.
     """
-    amps = np.ascontiguousarray(pointer_column(params).final[:, 0])
+    return column_state(pointer_column(params).final[:, 0])
+
+
+def column_state(column: np.ndarray) -> FockVector:
+    """A read-only :class:`FockVector` over a copy of one normalised amplitude column."""
+    amps = np.ascontiguousarray(column)
     amps.setflags(write=False)
     return FockVector(dim=amps.size, amps=amps)
 

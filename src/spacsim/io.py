@@ -6,6 +6,12 @@ written atomically (temp file plus rename), and every output CSV is
 accompanied by a ``<out>.manifest`` JSON sidecar carrying the fully
 resolved run configuration, so any output can be reproduced
 byte-identically from its sidecar alone.
+
+Every CSV goes through :func:`write_columns`, which formats a whole
+column at a time: one ``repr`` per float, no per-cell dispatch.  Text
+columns (labels, or numbers formatted once and repeated, as the axes of
+a Wigner grid are) pass through unchanged.  :func:`write_csv` takes
+rows and is a thin wrapper around it, so there is one formatting path.
 """
 
 from __future__ import annotations
@@ -31,19 +37,43 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _cell(value: float | str) -> str:
-    return value if isinstance(value, str) else fmt(value)
+def fmt_column(values) -> list[str]:
+    """:func:`fmt` of every value of an array-like, in row-major order."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _column_cells(column) -> list[str]:
+    if isinstance(column, list) and column and isinstance(column[0], str):
+        return column
+    return fmt_column(column)
+
+
+def _csv_text(header: list[str], columns: list) -> str:
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*(_column_cells(column) for column in columns))))
+    return "\n".join(lines) + "\n"
+
+
+def _transposed(rows: list[list]) -> list[list]:
+    return [list(column) for column in zip(*rows)]
+
+
+def write_columns(path: str | Path, header: list[str], columns: list) -> None:
+    """Write a CSV atomically from its columns: header row, LF endings, UTF-8.
+
+    A column is array-like floats, formatted with :func:`fmt`, or a list
+    of strings (plain labels, no commas, or numbers already formatted)
+    written as they are.  Every column has one entry per row.
+    """
+    _atomic_write(Path(path), _csv_text(header, columns))
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[float | str]]) -> None:
-    """Write a CSV atomically: header row, LF endings, UTF-8.
+    """Write a CSV atomically from its rows; see :func:`write_columns`.
 
     Cells are floats, except for plain-label string columns (no commas).
     """
-    path = Path(path)
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_columns(path, header, _transposed(rows))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[float | str]]]:
@@ -66,9 +96,7 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[float | str]]]:
 def csv_round_trips(path: str | Path) -> bool:
     """True when parse-then-reserialise reproduces the file bytes."""
     header, rows = read_csv(path)
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return Path(path).read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    return Path(path).read_bytes() == _csv_text(header, _transposed(rows)).encode("utf-8")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -117,6 +145,14 @@ class WignerGrid:
         """True when all values respect the +-2/pi Wigner bound."""
         limit = WIGNER_BOUND + slack
         return bool(np.all(self.values >= -limit) and np.all(self.values <= limit))
+
+    def columns(self) -> list:
+        """The x, p and value columns for :func:`write_columns`, p varying fastest.
+
+        Each distinct axis value is formatted once and repeated.
+        """
+        xs, ps = (fmt_column(axis) for axis in self.axes())
+        return [[x for x in xs for _ in ps], ps * len(xs), self.values]
 
     def rows(self) -> list[list[float]]:
         xs, ps = self.axes()

@@ -19,6 +19,14 @@ from .errors import DegeneratePostselection, RangeError
 
 DEFAULT_TRUNC = 128
 
+#: Number of top Fock levels whose combined weight is treated as "tail".
+TAIL_LEVELS = 4
+
+#: Smallest truncation in which a photon-added state can pass the tail
+#: check: it has no vacuum amplitude, so its weight starts at level 1,
+#: and that level must lie below the top TAIL_LEVELS levels.
+MIN_TRUNC = TAIL_LEVELS + 2
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -32,7 +40,7 @@ class ExperimentParams:
     phi : preselection polar angle, in [0, pi); phi = pi would make the
         postselection overlap cos(phi/2) vanish
     s : coupling ratio g0/sigma, >= 0; s < 1 is the weak-measurement regime
-    trunc : Fock truncation dimension, >= 2
+    trunc : Fock truncation dimension, >= MIN_TRUNC
     """
 
     r: float
@@ -81,8 +89,12 @@ def validate(params: ExperimentParams) -> ExperimentParams:
         )
     if not math.isfinite(params.s) or params.s < 0:
         raise RangeError("s", f"coupling ratio must be >= 0, got {params.s}")
-    if not isinstance(params.trunc, int) or params.trunc < 2:
-        raise RangeError("trunc", f"truncation dimension must be an integer >= 2, got {params.trunc}")
+    if not isinstance(params.trunc, int) or params.trunc < MIN_TRUNC:
+        raise RangeError(
+            "trunc",
+            f"truncation dimension must be an integer >= {MIN_TRUNC}, the least that can pass "
+            f"the tail check, got {params.trunc}",
+        )
     return params
 
 

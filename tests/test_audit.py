@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import spacsim.audit
 from spacsim.audit import compare, default_audit_grid, fit_scale
+from spacsim.cli import main
+from spacsim.io import fmt, load_manifest
 from spacsim.params import FIGURE_PRESET
 
 
@@ -79,3 +82,56 @@ class TestCompare:
         assert (row.r, row.s) == (1.0, 0.5)
         assert row.theta == FIGURE_PRESET.theta
         assert math.isnan(row.x) and math.isnan(row.p)
+
+
+class TestColumns:
+    def test_cli_csv_matches_per_cell_rows_of_compare(self, tmp_path, capsys):
+        out = tmp_path / "audit.csv"
+        assert main(["audit", "--trunc", "128", "--out", str(out)]) == 0
+        rows, summaries = compare()
+        header = (
+            "quantity,r,theta,delta,phi,s,x,p,oracle_re,oracle_im,printed_re,printed_im,"
+            "raw_residual,fitted_scale,scaled_residual"
+        )
+        lines = [header]
+        for row in rows:
+            cells = [
+                row.r, row.theta, row.delta, row.phi, row.s, row.x, row.p,
+                row.oracle.real, row.oracle.imag, row.printed.real, row.printed.imag,
+                row.raw_residual, row.scale, row.scaled_residual,
+            ]
+            lines.append(",".join([row.quantity] + [fmt(v) for v in cells]))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        recorded = load_manifest(str(out) + ".manifest")["summary"]
+        for s in summaries:
+            assert recorded[s.quantity] == {
+                "scale": s.scale,
+                "max_raw_residual": s.max_raw_residual,
+                "max_scaled_residual": s.max_scaled_residual,
+                "n_points": s.n_points,
+            }
+
+    def test_residuals_are_complex_abs(self):
+        rows, summaries = compare(default_audit_grid(r_values=(0.5, 2.0)), quantities=("wigner", "m_a4"))
+        scales = {s.quantity: s.scale for s in summaries}
+        for row in rows:
+            assert row.raw_residual == abs(row.printed - row.oracle)
+            assert row.scale == scales[row.quantity]
+            assert row.scaled_residual == abs(row.printed - row.scale * row.oracle)
+
+    def test_each_state_is_built_once(self, monkeypatch):
+        calls = []
+        original = spacsim.audit.pointer_column
+        monkeypatch.setattr(spacsim.audit, "pointer_column", lambda p: calls.append(p) or original(p))
+        grid = default_audit_grid()
+        compare(grid)
+        assert calls == grid
+
+    def test_repeated_quantity_counts_once(self):
+        grid = default_audit_grid(r_values=(1.0,), s_values=(0.0, 0.5))
+        rows, summaries = compare(grid, quantities=("m_a", "m_a"))
+        assert [r.quantity for r in rows] == ["m_a", "m_a"]
+        assert [s.quantity for s in summaries] == ["m_a"]
+
+    def test_empty_grid(self):
+        assert compare([], quantities=("m_a", "wigner")) == ([], [])

@@ -1,13 +1,24 @@
 """Command-line interface: outputs, exit codes, manifests, determinism."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spacsim
 from spacsim.cli import main
-from spacsim.io import csv_round_trips, load_manifest, read_csv
+from spacsim.fock import final_pointer_state
+from spacsim.io import WignerGrid, csv_round_trips, load_manifest, read_csv, write_csv
+from spacsim.params import FIGURE_PRESET
+from spacsim.printed import printed_wigner_values
+from spacsim.sweeps import grid_values
+from spacsim.wigner import wigner_grid_values
 
 PRESET_PHI = repr(7 * math.pi / 9)
 
@@ -263,3 +274,75 @@ class TestDeterminism:
         assert run("fig1b", "--r-max", "0.5", "--r-step", "0.25", "--out", str(first)) == 0
         assert run("rerun", str(first) + ".manifest", "--out", str(again)) == 0
         assert first.read_bytes() == again.read_bytes()
+
+
+class TestColumnarOutput:
+    @pytest.mark.parametrize("backend", ["oracle", "printed"])
+    def test_wigner_matches_the_row_writer(self, backend, tmp_path):
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        assert run(
+            "wigner", "--backend", backend, "--r", "1", "--s", "0.5", "--trunc", "128",
+            "--x-min", "-2", "--x-max", "2", "--p-min", "-1.5", "--p-max", "1", "--grid-step", "0.25",
+            "--out", str(out),
+        ) == 0
+        params = FIGURE_PRESET.with_(r=1.0, s=0.5, trunc=128)
+        xs, ps = grid_values(-2.0, 2.0, 0.25), grid_values(-1.5, 1.0, 0.25)
+        if backend == "oracle":
+            values = wigner_grid_values(final_pointer_state(params), xs, ps)
+        else:
+            values = printed_wigner_values(params, xs[:, None] + 1j * ps[None, :])
+        grid = WignerGrid(x_min=-2.0, x_max=2.0, p_min=-1.5, p_max=1.0, step=0.25, values=values)
+        write_csv(ref, ["x", "p", "w"], grid.rows())
+        assert out.read_bytes() == ref.read_bytes()
+
+
+class TestRerunErrors:
+    def assert_bad_manifest(self, path, capsys) -> str:
+        assert run("rerun", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spacsim: invalid arguments: ")
+        assert err.count("\n") == 1 and str(path) in err
+        return err
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        self.assert_bad_manifest(tmp_path / "missing.csv.manifest", capsys)
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv.manifest"
+        path.write_text("{not json")
+        self.assert_bad_manifest(path, capsys)
+
+    @pytest.mark.parametrize("key", ["command", "config", "out"])
+    def test_missing_key(self, key, tmp_path, capsys):
+        first = tmp_path / "first.csv"
+        assert run("fig1b", "--r-max", "0.5", "--r-step", "0.25", "--out", str(first)) == 0
+        path = Path(str(first) + ".manifest")
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert repr(key) in self.assert_bad_manifest(path, capsys)
+
+
+class TestTruncationInput:
+    @pytest.mark.parametrize("trunc", ["4", "5"])
+    def test_truncation_below_the_tail_check_is_invalid_input(self, trunc, capsys):
+        assert run("point", "--trunc", trunc) == 2
+        err = capsys.readouterr().err
+        assert "invalid arguments" in err and "trunc" in err
+
+    def test_smallest_truncation_still_runs(self, capsys):
+        assert run("point", "--trunc", "6", "--r", "0", "--s", "0") == 0
+        values = TestPointCommand().parse(capsys.readouterr().out)
+        assert float(values["n_mean"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_overflowing_amplitude_prints_no_warning():
+    env = dict(os.environ, PYTHONPATH=str(Path(spacsim.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "spacsim.cli", "point", "--s", "1e200"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 3
+    assert "numerical failure" in done.stderr
+    assert "RuntimeWarning" not in done.stderr

@@ -14,6 +14,7 @@ from spacsim.io import (
     manifest_argv,
     manifest_path,
     read_csv,
+    write_columns,
     write_csv,
     write_manifest,
 )
@@ -95,3 +96,40 @@ class TestManifest:
         payload = json.loads(manifest_path(out).read_text())
         assert payload["tool"] == "spacsim"
         assert "created" in payload
+
+
+class TestColumnWriter:
+    VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e-5, 0.1, 2 / 3, 1e16, 1.5e300]
+
+    def test_matches_per_cell_fmt(self, tmp_path):
+        path = tmp_path / "c.csv"
+        labels = [f"q{i}" for i in range(len(self.VALUES))]
+        negated = [-v for v in self.VALUES]
+        write_columns(path, ["label", "v", "neg"], [labels, np.array(self.VALUES), negated])
+        expected = "label,v,neg\n" + "".join(
+            f"{label},{fmt(v)},{fmt(n)}\n" for label, v, n in zip(labels, self.VALUES, negated)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert csv_round_trips(path)
+
+    def test_write_csv_writes_the_same_bytes(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        labels = ["m_a"] * len(self.VALUES)
+        write_csv(a, ["q", "v"], [[label, v] for label, v in zip(labels, self.VALUES)])
+        write_columns(b, ["q", "v"], [labels, self.VALUES])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_empty_tables(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_csv(path, ["a", "b"], [])
+        assert path.read_bytes() == b"a,b\n"
+        write_columns(path, ["a", "b"], [[], np.empty(0)])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_grid_columns_match_grid_rows(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        rng = np.random.default_rng(3)
+        grid = WignerGrid(x_min=-1, x_max=1, p_min=-0.3, p_max=0.6, step=0.1, values=rng.standard_normal((21, 10)))
+        write_columns(a, ["x", "p", "w"], grid.columns())
+        write_csv(b, ["x", "p", "w"], grid.rows())
+        assert a.read_bytes() == b.read_bytes()

@@ -9,6 +9,8 @@ import pytest
 from spacsim.errors import DegeneratePostselection, RangeError
 from spacsim.params import (
     FIGURE_PRESET,
+    MIN_TRUNC,
+    TAIL_LEVELS,
     ExperimentParams,
     postselection_probability,
     validate,
@@ -95,3 +97,15 @@ class TestIdentities:
     def test_weak_value_finite_up_to_pi(self):
         for phi in np.linspace(0, math.pi - 1e-9, 50):
             assert math.isfinite(abs(weak_value(0.3, phi)))
+
+
+class TestTruncationBound:
+    @pytest.mark.parametrize("trunc", [2, 3, TAIL_LEVELS, TAIL_LEVELS + 1])
+    def test_truncations_the_tail_check_cannot_pass_are_out_of_range(self, trunc):
+        with pytest.raises(RangeError) as err:
+            validate(params(trunc=trunc))
+        assert err.value.field == "trunc"
+
+    def test_smallest_allowed_truncation(self):
+        assert MIN_TRUNC == TAIL_LEVELS + 2
+        validate(params(trunc=MIN_TRUNC))
