@@ -20,7 +20,7 @@ import numpy as np
 from .fock import column_state, moments, pointer_column
 from .params import FIGURE_PRESET, ExperimentParams, validate
 from .printed import printed_kappa_sq, printed_moments, printed_wigner_values
-from .wigner import wigner_grid_values
+from .wigner import check_grid_elements, wigner_grid_values
 
 MOMENT_QUANTITIES = ("n_mean", "m_a", "m_a2", "m_a2d2", "m_a4")
 ALL_QUANTITIES = MOMENT_QUANTITIES + ("kappa_sq", "wigner")
@@ -180,6 +180,7 @@ def audit_columns(
     pairs: dict[str, tuple[list, list]] = {q: ([], []) for q in quantities}
     if "wigner" in quantities:
         axis = grid_values(-wigner_half_width, wigner_half_width, wigner_step)
+        check_grid_elements(axis.size**2)
         zs = axis[:, None] + 1j * axis[None, :]
     for params in grid:
         cols = pointer_column(params)

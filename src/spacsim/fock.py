@@ -293,7 +293,8 @@ class PointerColumns:
     ``initial`` and ``final`` are (dim, k) arrays of unit-norm columns;
     ``norm_sq[j]`` is the squared norm of column j's branch superposition
     before normalising.  ``errors[j]`` is empty, or says why column j
-    failed the truncation tail check; its columns are then NaN.
+    failed the truncation tail check, naming an overflowing amplitude
+    where no truncation could pass it; its columns are then NaN.
     """
 
     initial: np.ndarray
@@ -340,7 +341,11 @@ def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
         step = int(np.argmax(failed[:, j]))
         half = float(s[j]) / 2
         what = (f"spacs({alphas[j]})", f"displace({half})", f"displace({-half})", f"final_pointer_state(s={float(s[j])})")
-        errors[j] = _tail_failure(what[step], float(shares[step, j]), dim)
+        modulus = abs(complex((alphas[j], alphas[j] + half, alphas[j] - half, 0)[step]))
+        if math.isinf(modulus * modulus):  # a Python float overflows to inf without a warning
+            errors[j] = f"{what[step]}: the squared coherent amplitude overflows a double, so no truncation can represent the state"
+        else:
+            errors[j] = _tail_failure(what[step], float(shares[step, j]), dim)
     bad = failed.any(axis=0)
     initial[:, bad] = np.nan
     final[:, bad] = np.nan

@@ -31,6 +31,11 @@ DEFAULT_PHIS = (math.pi / 3, math.pi / 2, 2 * math.pi / 3, 7 * math.pi / 9)
 #: Coupling values of the fidelity-versus-amplitude figure.
 FIDELITY_COUPLINGS = (0.5, 1.0, 2.0, 3.0)
 
+#: Most points on one grid axis; the largest default axis has 201.  Checked
+#: before the count is converted to an int, so an overflowing range is
+#: rejected rather than allocated.
+MAX_GRID_POINTS = 2**16
+
 #: Complex amplitudes per array in one block of sweep columns; a block holds
 #: max(1, BLOCK_ELEMENTS // trunc) points, which bounds memory before allocating.
 BLOCK_ELEMENTS = 2**15
@@ -51,7 +56,8 @@ def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
     """Uniform inclusive grid from lo to hi.
 
     The count is derived from the step; hi must sit on the grid within
-    a small relative tolerance.
+    a small relative tolerance.  Raises ValueError, before allocating,
+    for a grid of more than :data:`MAX_GRID_POINTS` points.
     """
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"range [{lo}, {hi}] with step {step} is not finite")
@@ -59,6 +65,8 @@ def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
+    if not (hi - lo) / step <= MAX_GRID_POINTS - 1:  # also catches an infinite quotient
+        raise ValueError(f"range [{lo}, {hi}] with step {step} has more than {MAX_GRID_POINTS} points")
     count = int(round((hi - lo) / step))
     if abs(lo + count * step - hi) > step * 1e-6:
         raise ValueError(f"range [{lo}, {hi}] is not a multiple of step {step}")

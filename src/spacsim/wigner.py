@@ -65,6 +65,11 @@ SUPPORT_MARGIN = 6.0
 #: dropped part of the integral is of this order.
 PSI_TAIL_THRESHOLD = 1e-24
 
+#: Most elements in any one array of a grid evaluation: the psi lattice,
+#: the integrand, the kernel, the output, or a complex grid of points.
+#: Checked before allocating; the default 201 x 201 panel needs about 4e4.
+MAX_GRID_ELEMENTS = 2**24
+
 #: Ceiling of the Hermite recurrence's scaled frame; h_n above it is divided by it.
 _RESCALE = 1e150
 
@@ -113,6 +118,16 @@ def wigner_values(state: FockVector, zs: np.ndarray, workers: int = 1) -> np.nda
     zs = np.asarray(zs, dtype=np.complex128)
     flat = _parity_values(state, -zs.ravel(), workers)
     return flat.reshape(zs.shape)
+
+
+def check_grid_elements(*counts: float) -> None:
+    """Raise ValueError, naming the size, if any count exceeds :data:`MAX_GRID_ELEMENTS`."""
+    largest = max(counts)
+    if not largest <= MAX_GRID_ELEMENTS:
+        raise ValueError(
+            f"the Wigner grid needs an array of at least {float(largest):.3g} elements, more than "
+            f"{MAX_GRID_ELEMENTS}; use a coarser grid step or a smaller range"
+        )
 
 
 def _position_amplitudes(amps: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -169,11 +184,18 @@ def wigner_grid_values(
     # the integrand's angular frequencies in y stay below 4 * y_max (two
     # factors of psi) plus 4 |p| (the kernel); sampling below the Nyquist
     # step makes the lattice sum equal the integral
-    dy_max = 2.0 * math.pi / (4.0 * y_max + 4.0 * float(np.max(np.abs(ps))))
+    freq = 4.0 * y_max + 4.0 * float(np.max(np.abs(ps)))
+    dy_max = 2.0 * math.pi / freq
+    # the lattice step is at most dy_max and at most h / 2, which bounds the
+    # lattice and the kernel from below; checking those bounds first keeps
+    # every integer count below finite
+    samples = freq / (2.0 * math.pi)  # 1 / dy_max, possibly inf
+    check_grid_elements(max(float(xs[-1] - xs[0]), 2.0 * y_max) * samples, 2.0 * y_max * samples * ps.size)
     if xs.size > 1:
         h = (xs[-1] - xs[0]) / (xs.size - 1)
         if not h > 0 or np.max(np.abs(xs - (xs[0] + h * np.arange(xs.size)))) > 1e-6 * h:
             raise ValueError("xs must be an increasing uniform grid")
+        check_grid_elements(4.0 * y_max / float(h))  # a Python float overflows to inf silently
         sub = math.ceil(h / (2.0 * dy_max))  # lattice steps per half x spacing
         step = h / (2 * sub)
     else:
@@ -184,6 +206,7 @@ def wigner_grid_values(
     dy = stride * step
     half_k = math.ceil(y_max / dy)
     count = 2 * sub * (xs.size - 1) + 2 * stride * half_k + 1
+    check_grid_elements(count + 2, xs.size * (2 * half_k + 1), (2 * half_k + 1) * ps.size, xs.size * ps.size)
     lattice = xs[0] + step * (np.arange(count) - stride * half_k)
     psi = _position_amplitudes(state.amps[:levels], np.append(lattice, (-y_max, y_max)))
     edge = float(np.max(np.abs(psi[-2:]) ** 2))

@@ -346,3 +346,110 @@ def test_overflowing_amplitude_prints_no_warning():
     assert done.returncode == 3
     assert "numerical failure" in done.stderr
     assert "RuntimeWarning" not in done.stderr
+
+
+# The manifest config keys each command wrote before its flags came from one table.
+_SCENARIO_KEYS = {"r", "theta", "delta", "phi", "s", "trunc", "backend", "workers"}
+_CONFIG_KEYS = {
+    "fig1a": _SCENARIO_KEYS | {"phis", "s_min", "s_max", "s_step"},
+    "fig2a": _SCENARIO_KEYS | {"phis", "s_min", "s_max", "s_step"},
+    "fig1b": _SCENARIO_KEYS | {"phis", "r_min", "r_max", "r_step"},
+    "fig2b": _SCENARIO_KEYS | {"phis", "r_min", "r_max", "r_step"},
+    "fig3": _SCENARIO_KEYS | {"s_values", "r_min", "r_max", "r_step"},
+    "wigner": _SCENARIO_KEYS | {"x_min", "x_max", "p_min", "p_max", "grid_step"},
+    "audit": _SCENARIO_KEYS | {"r_values", "s_values", "quantities", "wigner_half_width", "wigner_step"},
+}
+_SMALL_RUNS = {
+    "fig1a": ["--s-max", "0.5", "--s-step", "0.25", "--phis", "2"],
+    "fig2a": ["--s-max", "0.5", "--s-step", "0.25", "--phis", "2"],
+    "fig1b": ["--r-max", "0.5", "--r-step", "0.25", "--phis", "2"],
+    "fig2b": ["--r-max", "0.5", "--r-step", "0.25", "--phis", "2", "--backend", "printed"],
+    "fig3": ["--r-max", "1", "--r-step", "0.5", "--s-values", "0.5,2"],
+    "wigner": ["--x-min", "-1", "--x-max", "1", "--p-min", "0", "--p-max", "1", "--grid-step", "0.5"],
+    "audit": ["--r-values", "1", "--s-values", "0.5", "--quantities", "kappa_sq,m_a,wigner", "--wigner-step", "1.5"],
+}
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+    def test_manifest_keys_and_rerun_bytes(self, command, tmp_path, capsys):
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert run(command, *_SMALL_RUNS[command], "--out", str(first)) == 0
+        manifest = load_manifest(str(first) + ".manifest")
+        assert manifest["command"] == command
+        assert set(manifest["config"]) == _CONFIG_KEYS[command]
+        assert isinstance(manifest["config"]["trunc"], int) and isinstance(manifest["config"]["r"], float)
+        assert run("rerun", str(first) + ".manifest", "--out", str(again)) == 0
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_old_fig3_manifest_reruns_to_its_bytes(self, tmp_path):
+        config = {
+            "backend": "oracle", "delta": 0.5235987755982988, "phi": 2.443460952792061, "r": 1.0,
+            "r_max": 1.0, "r_min": 0.5, "r_step": 0.25, "s": 0.5, "s_values": [0.5, 1.0],
+            "theta": 0.7853981633974483, "trunc": 128, "workers": 1,
+        }
+        path = tmp_path / "old.csv.manifest"
+        path.write_text(json.dumps({
+            "command": "fig3", "config": config, "created": "2026-10-18T08:26:51.331571+00:00",
+            "out": "fig3.csv", "tool": "spacsim", "version": "0.1.0",
+        }))
+        out = tmp_path / "again.csv"
+        assert run("rerun", str(path), "--out", str(out)) == 0
+        assert out.read_text() == (
+            "r,fidelity_s0.5,fidelity_s1.0\n"
+            "0.5,0.7101995236562828,0.545219337577729\n"
+            "0.75,0.817591365912758,0.7296928241757181\n"
+            "1.0,0.8815386857329274,0.8400503612365944\n"
+        )
+
+    def test_old_audit_manifest_reruns_like_its_flags(self, tmp_path, capsys):
+        config = {
+            "backend": "oracle", "delta": 0.5235987755982988, "phi": 2.443460952792061,
+            "quantities": ["kappa_sq", "m_a"], "r": 1.0, "r_values": [1.0], "s": 0.5, "s_values": [0.5],
+            "theta": 0.7853981633974483, "trunc": 128, "wigner_half_width": 3.0, "wigner_step": 0.75, "workers": 1,
+        }
+        path = tmp_path / "old.csv.manifest"
+        path.write_text(json.dumps({"command": "audit", "config": config, "out": "audit.csv"}))
+        again, direct = tmp_path / "again.csv", tmp_path / "direct.csv"
+        assert run("rerun", str(path), "--out", str(again)) == 0
+        assert run("audit", "--r-values", "1", "--s-values", "0.5", "--quantities", "kappa_sq,m_a", "--out", str(direct)) == 0
+        assert again.read_bytes() == direct.read_bytes()
+        assert load_manifest(str(again) + ".manifest")["config"] == config
+
+
+class TestOverflowingAmplitude:
+    @pytest.mark.parametrize(
+        "argv", [["point", "--s", "1e200"], ["point", "--r", "1e160"], ["fig3", "--s-values", "1e300"]]
+    )
+    def test_overflow_gives_no_truncation_advice(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(*argv, *(["--out", str(out)] if argv[0] != "point" else [])) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "overflows" in err
+        assert "truncation dimension" not in err
+        assert not out.exists()
+
+    def test_large_amplitude_still_asks_for_a_larger_truncation(self, capsys):
+        assert run("point", "--r", "40") == 3
+        assert "increase the truncation dimension" in capsys.readouterr().err
+
+
+class TestGridCaps:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wigner", "--x-min", "0", "--x-max", "1e300", "--grid-step", "1e-10"],
+            ["fig1a", "--s-max", "1e300", "--s-step", "1e-10"],
+            ["wigner", "--grid-step", "0.001"],
+            ["wigner", "--grid-step", "0.001", "--backend", "printed"],
+            ["wigner", "--p-min", "1e6", "--p-max", "1e6"],
+            ["wigner", "--x-min", "0", "--x-max", "1e-6", "--p-min", "0", "--p-max", "0", "--grid-step", "1e-10"],
+            ["audit", "--quantities", "wigner", "--wigner-step", "0.0005"],
+        ],
+    )
+    def test_oversized_grid_is_invalid_input(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spacsim: invalid arguments: ") and err.count("\n") == 1
+        assert not out.exists() and not Path(str(out) + ".manifest").exists()
