@@ -12,6 +12,7 @@ from .errors import (
     DegeneratePostselection,
     DimensionMismatch,
     NonPositiveNorm,
+    NumericalOverflow,
     RangeError,
     SpacsimError,
     TruncationTooSmall,

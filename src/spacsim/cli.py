@@ -21,6 +21,7 @@ backend failure (the message names the failing row or point).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict
@@ -200,7 +201,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command, built once per process (nine subparsers take milliseconds)."""
     parser = argparse.ArgumentParser(
         prog="spacsim",
         description="Postselected von Neumann measurement on photon-added coherent states.",

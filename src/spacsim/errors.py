@@ -39,3 +39,12 @@ class DimensionMismatch(SpacsimError, ValueError):
 
 class NonPositiveNorm(SpacsimError):
     """A printed normalisation expression evaluated to a value <= 0."""
+
+
+class NumericalOverflow(SpacsimError, ArithmeticError):
+    """A closed-form expression overflowed a double.
+
+    The printed formulas are evaluated as written, so at extreme
+    parameters (a coupling of 1e200, say) an intermediate term exceeds
+    the double range; the result is a numerical failure, not bad input.
+    """

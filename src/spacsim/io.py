@@ -8,10 +8,14 @@ resolved run configuration, so any output can be reproduced
 byte-identically from its sidecar alone.
 
 Every CSV goes through :func:`write_columns`, which formats a whole
-column at a time: one ``repr`` per float, no per-cell dispatch.  Text
-columns (labels, or numbers formatted once and repeated, as the axes of
-a Wigner grid are) pass through unchanged.  :func:`write_csv` takes
-rows and is a thin wrapper around it, so there is one formatting path.
+column at a time with :func:`fmt_column`: one ``repr`` per run of
+bit-identical consecutive floats (echoed parameters, a grid's x axis,
+fitted scales, exact zeros), or one per float where runs are short.
+Text columns pass through unchanged: labels, and axes that repeat as a
+whole rather than value by value (the p axis of a Wigner grid), which
+:func:`fmt_tiled` formats once and tiles.  :func:`write_csv` takes rows
+and is a thin wrapper around it, so there is one formatting path, and
+the bytes are those of :func:`fmt` applied cell by cell.
 """
 
 from __future__ import annotations
@@ -38,8 +42,26 @@ def fmt(value: float) -> str:
 
 
 def fmt_column(values) -> list[str]:
-    """:func:`fmt` of every value of an array-like, in row-major order."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+    """:func:`fmt` of every value of an array-like, in row-major order.
+
+    Each run of bit-identical consecutive values is formatted once.  Runs
+    are found on the bits, not by float equality or ``np.unique``, which
+    would merge -0.0 with 0.0; a column with more runs than half its
+    length is formatted value by value.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    bits = flat.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * (starts.size + 1) > flat.size:
+        return list(map(repr, flat.tolist()))
+    starts = np.concatenate(([0], starts))
+    cells = np.array(list(map(repr, flat[starts].tolist())), dtype=object)
+    return np.repeat(cells, np.diff(starts, append=flat.size)).tolist()
+
+
+def fmt_tiled(axis, reps: int) -> list[str]:
+    """:func:`fmt_column` of ``np.tile(axis, reps)``, formatting each axis value once."""
+    return fmt_column(axis) * reps
 
 
 def _column_cells(column) -> list[str]:
@@ -147,12 +169,9 @@ class WignerGrid:
         return bool(np.all(self.values >= -limit) and np.all(self.values <= limit))
 
     def columns(self) -> list:
-        """The x, p and value columns for :func:`write_columns`, p varying fastest.
-
-        Each distinct axis value is formatted once and repeated.
-        """
-        xs, ps = (fmt_column(axis) for axis in self.axes())
-        return [[x for x in xs for _ in ps], ps * len(xs), self.values]
+        """The x, p and value columns for :func:`write_columns`, p varying fastest."""
+        xs, ps = self.axes()
+        return [np.repeat(xs, ps.size), fmt_tiled(ps, xs.size), self.values]
 
     def rows(self) -> list[list[float]]:
         xs, ps = self.axes()

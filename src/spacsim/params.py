@@ -27,6 +27,11 @@ TAIL_LEVELS = 4
 #: and that level must lie below the top TAIL_LEVELS levels.
 MIN_TRUNC = TAIL_LEVELS + 2
 
+#: Largest truncation accepted; checked before any state is allocated.  A
+#: column of 2^20 complex amplitudes takes 16 MiB, and it holds coherent
+#: amplitudes up to |alpha| of about 1000.
+MAX_TRUNC = 2**20
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -40,7 +45,7 @@ class ExperimentParams:
     phi : preselection polar angle, in [0, pi); phi = pi would make the
         postselection overlap cos(phi/2) vanish
     s : coupling ratio g0/sigma, >= 0; s < 1 is the weak-measurement regime
-    trunc : Fock truncation dimension, >= MIN_TRUNC
+    trunc : Fock truncation dimension, in [MIN_TRUNC, MAX_TRUNC]
     """
 
     r: float
@@ -95,6 +100,8 @@ def validate(params: ExperimentParams) -> ExperimentParams:
             f"truncation dimension must be an integer >= {MIN_TRUNC}, the least that can pass "
             f"the tail check, got {params.trunc}",
         )
+    if params.trunc > MAX_TRUNC:
+        raise RangeError("trunc", f"truncation dimension must be <= {MAX_TRUNC}, got {params.trunc}")
     return params
 
 

@@ -26,12 +26,13 @@ is signal, not a bug.  The audit harness quantifies it per quantity.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveNorm
+from .errors import NonPositiveNorm, NumericalOverflow
 from .params import ExperimentParams, validate, weak_value
 
 
@@ -47,10 +48,31 @@ class PrintedMomentSet:
     kappa_sq: float
 
 
+def _overflow_is_numerical(evaluate):
+    """Report a double overflow inside a printed expression as :class:`NumericalOverflow`.
+
+    Python floats raise OverflowError and the array forms, under
+    ``np.errstate(over="raise")``, FloatingPointError; the expressions
+    themselves stay as printed.
+    """
+
+    @functools.wraps(evaluate)
+    def evaluated(params: ExperimentParams, *args):
+        try:
+            return evaluate(params, *args)
+        except (OverflowError, FloatingPointError) as exc:
+            raise NumericalOverflow(
+                f"{evaluate.__name__}: the printed expression overflows a double at {params}: {exc}"
+            ) from exc
+
+    return evaluated
+
+
 def _gamma_sq(alpha: complex) -> float:
     return 1.0 / (1.0 + abs(alpha) ** 2)
 
 
+@_overflow_is_numerical
 def printed_kappa_sq(params: ExperimentParams) -> float:
     """Printed normalisation coefficient kappa^2.
 
@@ -197,6 +219,7 @@ def h2(alpha: complex, s: float) -> complex:
     return -g2 / 16.0 * cmath.exp(2j * s * alpha.imag) * math.exp(-s * s / 2.0) * (s - 2 * alpha) ** 3 * poly
 
 
+@_overflow_is_numerical
 def printed_moments(params: ExperimentParams) -> PrintedMomentSet:
     """All five printed moments of the conditioned pointer state.
 
@@ -260,6 +283,7 @@ def _w_helper(alpha: complex, s: float, z: complex) -> float:
     )
 
 
+@_overflow_is_numerical
 def printed_wigner(params: ExperimentParams, z: complex) -> float:
     """Closed-form Wigner function exactly as printed."""
     validate(params)
@@ -286,11 +310,12 @@ def _w_helper_values(alpha: complex, s: float, zs: np.ndarray) -> np.ndarray:
     )
 
 
+@_overflow_is_numerical
 def printed_wigner_values(params: ExperimentParams, zs: np.ndarray) -> np.ndarray:
     """:func:`printed_wigner` term for term over an array of points (any shape).
 
-    Overflow raises FloatingPointError where the scalar form raises
-    OverflowError, rather than leaving inf * 0 = NaN in the result.
+    Overflow raises :class:`NumericalOverflow`, as in the scalar form,
+    rather than leaving inf * 0 = NaN in the result.
     """
     validate(params)
     alpha, s = params.alpha, params.s

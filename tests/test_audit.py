@@ -85,10 +85,19 @@ class TestCompare:
 
 
 class TestColumns:
-    def test_cli_csv_matches_per_cell_rows_of_compare(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, kwargs",
+        [
+            ([], {}),
+            (["--wigner-step", "0.25"], {"wigner_step": 0.25}),
+            (["--theta", "0.3", "--delta", "5.1"], {"grid": default_audit_grid(FIGURE_PRESET.with_(theta=0.3, delta=5.1))}),
+        ],
+        ids=["default", "fine_wigner_step", "other_angles"],
+    )
+    def test_cli_csv_matches_per_cell_rows_of_compare(self, flags, kwargs, tmp_path, capsys):
         out = tmp_path / "audit.csv"
-        assert main(["audit", "--trunc", "128", "--out", str(out)]) == 0
-        rows, summaries = compare()
+        assert main(["audit", "--trunc", "128", *flags, "--out", str(out)]) == 0
+        rows, summaries = compare(**kwargs)
         header = (
             "quantity,r,theta,delta,phi,s,x,p,oracle_re,oracle_im,printed_re,printed_im,"
             "raw_residual,fitted_scale,scaled_residual"

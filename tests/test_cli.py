@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import spacsim
-from spacsim.cli import main
+from spacsim.cli import build_parser, main
 from spacsim.fock import final_pointer_state
 from spacsim.io import WignerGrid, csv_round_trips, load_manifest, read_csv, write_csv
-from spacsim.params import FIGURE_PRESET
+from spacsim.params import FIGURE_PRESET, MAX_TRUNC
 from spacsim.printed import printed_wigner_values
-from spacsim.sweeps import grid_values
+from spacsim.sweeps import DEFAULT_PHIS, grid_values
 from spacsim.wigner import wigner_grid_values
 
 PRESET_PHI = repr(7 * math.pi / 9)
@@ -336,16 +336,48 @@ class TestTruncationInput:
         values = TestPointCommand().parse(capsys.readouterr().out)
         assert float(values["n_mean"]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_truncation_above_the_cap_is_invalid_input_before_allocating(self, source, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "never.csv"
+        over = str(MAX_TRUNC + 1)
+        if source == "environment":
+            monkeypatch.setenv("SPACS_TRUNC", over)
+        argv = ["--trunc", over] if source == "flag" else []
+        assert run("fig1a", "--s-max", "0", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spacsim: invalid arguments: trunc: ") and err.count("\n") == 1
+        assert not out.exists() and not Path(str(out) + ".manifest").exists()
+
+
+def _spacsim_subprocess(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(spacsim.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "spacsim.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
 
 def test_overflowing_amplitude_prints_no_warning():
-    env = dict(os.environ, PYTHONPATH=str(Path(spacsim.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "spacsim.cli", "point", "--s", "1e200"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = _spacsim_subprocess("point", "--s", "1e200")
     assert done.returncode == 3
     assert "numerical failure" in done.stderr
     assert "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--backend", "printed", "--s", "1e200"],
+        ["fig1b", "--backend", "printed", "--s", "1e200", "--r-max", "0", "--out", "f.csv"],
+        ["wigner", "--backend", "printed", "--s", "1e200", "--out", "w.csv"],
+    ],
+    ids=["point", "fig1b", "wigner"],
+)
+def test_printed_overflow_is_one_line_numerical_failure(argv, tmp_path):
+    done = _spacsim_subprocess(*(str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv))
+    assert done.returncode == 3
+    assert done.stderr.startswith("spacsim: numerical failure: printed_") and done.stderr.count("\n") == 1
+    assert "overflows a double" in done.stderr and "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 # The manifest config keys each command wrote before its flags came from one table.
@@ -381,6 +413,14 @@ class TestCommandTable:
         assert isinstance(manifest["config"]["trunc"], int) and isinstance(manifest["config"]["r"], float)
         assert run("rerun", str(first) + ".manifest", "--out", str(again)) == 0
         assert again.read_bytes() == first.read_bytes()
+
+    def test_one_parser_serves_successive_runs(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run("fig1a", "--s-max", "0", "--phis", "2", "--trunc", "64", "--out", str(first)) == 0
+        assert run("fig1a", "--s-max", "0", "--out", str(second)) == 0
+        config = load_manifest(str(second) + ".manifest")["config"]
+        assert config["phis"] == list(DEFAULT_PHIS) and config["trunc"] == 128
 
     def test_old_fig3_manifest_reruns_to_its_bytes(self, tmp_path):
         config = {

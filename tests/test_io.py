@@ -10,6 +10,7 @@ from spacsim.io import (
     WignerGrid,
     csv_round_trips,
     fmt,
+    fmt_tiled,
     load_manifest,
     manifest_argv,
     manifest_path,
@@ -133,3 +134,58 @@ class TestColumnWriter:
         write_columns(a, ["x", "p", "w"], grid.columns())
         write_csv(b, ["x", "p", "w"], grid.rows())
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("ranges", [(0, 0, -0.3, 0.6), (-1, 1, 0.2, 0.2), (-0.5, 0.5, -0.5, 0.5)])
+    def test_grid_columns_match_grid_rows_on_other_axes(self, ranges, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        x_min, x_max, p_min, p_max = ranges
+        shape = (round((x_max - x_min) / 0.1) + 1, round((p_max - p_min) / 0.1) + 1)
+        values = np.zeros(shape)  # all one run
+        values[::2, 1:] = np.random.default_rng(3).standard_normal(values[::2, 1:].shape)
+        grid = WignerGrid(x_min=x_min, x_max=x_max, p_min=p_min, p_max=p_max, step=0.1, values=values)
+        write_columns(a, ["x", "p", "w"], grid.columns())
+        write_csv(b, ["x", "p", "w"], grid.rows())
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestRunCompression:
+    """Runs of bit-identical values are formatted once; the bytes equal per-cell :func:`fmt`."""
+
+    @staticmethod
+    def assert_per_cell(tmp_path, *columns):
+        path = tmp_path / "r.csv"
+        header = [f"c{i}" for i in range(len(columns))]
+        write_columns(path, header, [np.asarray(c, dtype=float) for c in columns])
+        lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in zip(*columns)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert csv_round_trips(path)
+
+    def test_signed_zeros_and_non_finite_runs(self, tmp_path):
+        column = [0.0] * 5 + [-0.0] * 5 + [0.0, -0.0, 0.0] + [math.nan] * 6 + [math.inf] * 4 + [-math.inf] * 4
+        column += [-0.0] * 3 + [5e-324] * 5 + [-5e-324] + [5e-324] * 3 + [0.25] * 8
+        assert sum(a != b for a, b in zip(column, column[1:])) < len(column) // 2  # the run path
+        self.assert_per_cell(tmp_path, column, column[::-1])
+
+    def test_differently_signed_nans_keep_their_text(self, tmp_path):
+        nans = np.array([math.nan, -math.nan, math.nan, math.nan, -math.nan, -math.nan] * 3)
+        self.assert_per_cell(tmp_path, nans)
+
+    @pytest.mark.parametrize("column", [[], [-0.0], [5e-324], [2 / 3, 2 / 3]])
+    def test_short_columns(self, column, tmp_path):
+        self.assert_per_cell(tmp_path, column)
+
+    def test_all_distinct_column(self, tmp_path):
+        column = np.random.default_rng(11).standard_normal(101)
+        self.assert_per_cell(tmp_path, column, np.repeat(column[:5], [1, 30, 20, 40, 10]))
+
+    def test_two_dimensional_and_strided_input(self, tmp_path):
+        block = np.repeat(np.array([[0.1, -0.0], [-0.0, 0.3]]), 8, axis=1)
+        path = tmp_path / "s.csv"
+        write_columns(path, ["a", "b"], [block, np.repeat(block, 2)[::2]])
+        expected = [f"{fmt(a)},{fmt(b)}" for a, b in zip(block.ravel(), block.ravel())]
+        assert path.read_text() == "a,b\n" + "\n".join(expected) + "\n"
+
+    def test_tiled_axis(self):
+        axis = np.array([-0.5, -0.0, 0.0, 0.5])
+        assert fmt_tiled(axis, 3) == [fmt(v) for v in np.tile(axis, 3)]
+        assert fmt_tiled(axis, 0) == []

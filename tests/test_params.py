@@ -9,6 +9,7 @@ import pytest
 from spacsim.errors import DegeneratePostselection, RangeError
 from spacsim.params import (
     FIGURE_PRESET,
+    MAX_TRUNC,
     MIN_TRUNC,
     TAIL_LEVELS,
     ExperimentParams,
@@ -100,7 +101,7 @@ class TestIdentities:
 
 
 class TestTruncationBound:
-    @pytest.mark.parametrize("trunc", [2, 3, TAIL_LEVELS, TAIL_LEVELS + 1])
+    @pytest.mark.parametrize("trunc", [2, 3, TAIL_LEVELS, TAIL_LEVELS + 1, MAX_TRUNC + 1, 10**30])
     def test_truncations_the_tail_check_cannot_pass_are_out_of_range(self, trunc):
         with pytest.raises(RangeError) as err:
             validate(params(trunc=trunc))
@@ -109,3 +110,6 @@ class TestTruncationBound:
     def test_smallest_allowed_truncation(self):
         assert MIN_TRUNC == TAIL_LEVELS + 2
         validate(params(trunc=MIN_TRUNC))
+
+    def test_largest_allowed_truncation(self):
+        validate(params(trunc=MAX_TRUNC))
