@@ -116,7 +116,7 @@ def _run_sweep(args: argparse.Namespace, params: ExperimentParams) -> Output:
     for phi in args.phis:
         validate(params.with_(phi=float(phi)))
     sweep = sweep_s if swept == "s" else sweep_r
-    rows = sweep(params, tuple(args.phis), _range(args, swept), args.backend, args.workers)
+    rows = sweep(params, tuple(args.phis), _range(args, swept), args.backend)
     _fail_on_row_errors(rows)
     columns = [[row.phi for row in rows], [getattr(row, swept) for row in rows]]
     columns += [[getattr(row.report, name) for row in rows] for name in _REPORT_FIELDS]
@@ -124,7 +124,7 @@ def _run_sweep(args: argparse.Namespace, params: ExperimentParams) -> Output:
 
 
 def _run_fig3(args: argparse.Namespace, params: ExperimentParams) -> Output:
-    r_grid, table = fidelity_table(params, tuple(args.s_values), _range(args, "r"), args.backend, args.workers)
+    r_grid, table = fidelity_table(params, tuple(args.s_values), _range(args, "r"), args.backend)
     _fail_on_row_errors([row for rows in table.values() for row in rows])
     columns = [[row.report.fidelity_to_initial for row in table[s]] for s in args.s_values]
     return Output(["r"] + [f"fidelity_s{s!r}" for s in args.s_values], [r_grid] + columns)

@@ -218,17 +218,16 @@ def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _displaced_core(state: FockVector, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _displaced_core(state: FockVector, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase-reduced displacement batch shared by all consumers.
 
     For each beta = t * exp(i*phase), D(beta) factorises into
     R(phase) V exp(-i t L) V^H R(-phase) with R(phase) the diagonal
-    number-phase rotation.  Returns ``(phases, rot_in, out)`` where
-    ``phases[n, j] = exp(-i n phase_j)``, ``rot_in = R(-phase) psi``
-    column-wise and ``out = V exp(-i t L) V^H rot_in``; the full
+    number-phase rotation.  Returns ``(phases, out)`` where
+    ``phases[n, j] = exp(-i n phase_j)`` and
+    ``out = V exp(-i t L) V^H R(-phase) psi`` column-wise; the full
     displaced column is ``conj(phases) * out``.  Consumers that only
-    need magnitudes (parity sums) or expectation values against psi
-    can skip the final phase entirely.
+    need magnitudes (parity sums) can skip the final phase entirely.
 
     The integer-power phase matrix is built by a cumulative product
     (one exp per column instead of one per entry); the accumulated
@@ -239,11 +238,10 @@ def _displaced_core(state: FockVector, betas: np.ndarray) -> tuple[np.ndarray, n
     steps = np.broadcast_to(np.exp(-1j * np.angle(betas)), (state.dim, betas.size)).copy()
     steps[0, :] = 1.0
     phases = np.cumprod(steps, axis=0)
-    rot_in = phases * state.amps[:, None]
-    u = evecs.conj().T @ rot_in
+    u = evecs.conj().T @ (phases * state.amps[:, None])
     u *= np.exp(-1j * np.outer(evals, np.abs(betas)))
     out = evecs @ u
-    return phases, rot_in, out
+    return phases, out
 
 
 def displaced_columns(state: FockVector, betas: np.ndarray) -> np.ndarray:
@@ -253,19 +251,9 @@ def displaced_columns(state: FockVector, betas: np.ndarray) -> np.ndarray:
     applied to ``state``.  Exactly unitary per column up to the
     eigendecomposition error; no tail check is performed here.
     """
-    phases, _, out = _displaced_core(state, betas)
+    phases, out = _displaced_core(state, betas)
     out *= phases.conj()
     return out
-
-
-def displacement_expectations(state: FockVector, betas: np.ndarray) -> np.ndarray:
-    """<psi| D(beta) |psi> for a batch of betas.
-
-    The outer phase rotation is folded onto the bra side, which saves
-    one full phase matrix per batch.
-    """
-    _, rot_in, out = _displaced_core(state, betas)
-    return np.sum(rot_in.conj() * out, axis=0)
 
 
 def displace(beta: complex, state: FockVector) -> FockVector:

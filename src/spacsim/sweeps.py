@@ -106,12 +106,7 @@ def sweep_s(
     backend: str = "oracle",
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Sweep the coupling ratio at fixed amplitude, one curve per angle.
-
-    ``workers`` is accepted, so that old callers and manifests still
-    work, and ignored: a block of columns is a handful of array
-    operations.
-    """
+    """Sweep the coupling ratio at fixed amplitude, one curve per angle (``workers`` is ignored)."""
     validate(base)
     lo, hi, step = s_range
     values = grid_values(lo, hi, step)
@@ -124,9 +119,8 @@ def sweep_r(
     phis: tuple[float, ...] = DEFAULT_PHIS,
     r_range: tuple[float, float, float] = (0.0, 3.0, DEFAULT_STEP),
     backend: str = "oracle",
-    workers: int = 1,
 ) -> list[SweepRow]:
-    """Sweep the coherent amplitude at fixed coupling, one curve per angle (``workers`` is ignored)."""
+    """Sweep the coherent amplitude at fixed coupling, one curve per angle."""
     validate(base)
     lo, hi, step = r_range
     values = grid_values(lo, hi, step)
@@ -139,7 +133,6 @@ def fidelity_table(
     couplings: tuple[float, ...] = FIDELITY_COUPLINGS,
     r_range: tuple[float, float, float] = (0.0, 3.0, DEFAULT_STEP),
     backend: str = "oracle",
-    workers: int = 1,
 ) -> tuple[np.ndarray, dict[float, list[SweepRow]]]:
     """Fidelity-to-initial versus amplitude for several couplings.
 
@@ -150,5 +143,5 @@ def fidelity_table(
     values = grid_values(*r_range)
     table = {}
     for s in couplings:
-        table[s] = sweep_r(base.with_(s=s), (base.phi,), r_range, backend, workers)
+        table[s] = sweep_r(base.with_(s=s), (base.phi,), r_range, backend)
     return values, table

@@ -28,8 +28,11 @@ a coherent state |alpha> peaks at x + ip = alpha:
   displaced state clears the truncation tail check.  This is the
   reference the grid route is tested against.
 
-A direct 2D quadrature of the characteristic function <D(lambda)> is
-kept as a third, independent spot-check of the parity route.
+A 2D quadrature of the characteristic function <D(lambda)> is kept as
+a third, independent spot-check of the parity route.  It sums <D(lambda)>
+from the Laguerre matrix elements of D (Cahill & Glauber, Phys. Rev.
+177, 1857 (1969)) over the state's Fock support, with no padding and no
+code shared with the displacement in :mod:`spacsim.fock`.
 """
 
 from __future__ import annotations
@@ -38,18 +41,10 @@ import math
 
 import numpy as np
 
-from ._parallel import run_ordered
 from .errors import TruncationTooSmall
-from .fock import (
-    TAIL_LEVELS,
-    TAIL_THRESHOLD,
-    FockVector,
-    _displaced_core,
-    displacement_expectations,
-    pad,
-)
+from .fock import TAIL_LEVELS, TAIL_THRESHOLD, FockVector, _displaced_core, pad
 
-#: Grid points evaluated per matrix product; bounds chunk memory.
+#: Points per batch of the parity and characteristic-function routes; bounds memory.
 CHUNK = 4096
 
 #: Fock levels above the last one whose tail mass reaches this are dropped
@@ -87,14 +82,16 @@ def required_dim(state: FockVector, beta_max: float) -> int:
     return ((need + 31) // 32) * 32 if need > state.dim else state.dim
 
 
-def _parity_values(state: FockVector, betas: np.ndarray, workers: int = 1) -> np.ndarray:
+def _parity_values(state: FockVector, betas: np.ndarray) -> np.ndarray:
     """(2/pi) <parity> of D(beta)|state> for a flat array of betas."""
+    if not np.all(np.isfinite(betas)):
+        raise ValueError("phase-space points must be finite")
     work = pad(state, required_dim(state, float(np.max(np.abs(betas))) if betas.size else 0.0))
     signs = np.where(np.arange(work.dim) % 2 == 0, 1.0, -1.0)
-
-    def eval_chunk(sl: slice) -> np.ndarray:
+    parts = []
+    for lo in range(0, betas.size, CHUNK):
         # parity only needs magnitudes, so the outer phase rotation is skipped
-        _, _, cols = _displaced_core(work, betas[sl])
+        _, cols = _displaced_core(work, betas[lo : lo + CHUNK])
         abs2 = cols.real**2 + cols.imag**2
         tail = float(np.max(np.sum(abs2[-TAIL_LEVELS:, :], axis=0)))
         if tail > TAIL_THRESHOLD:
@@ -102,9 +99,7 @@ def _parity_values(state: FockVector, betas: np.ndarray, workers: int = 1) -> np
                 f"displaced state leaks {tail:.3e} into the top {TAIL_LEVELS} "
                 f"of {work.dim} levels; phase-space point too far out"
             )
-        return (2.0 / math.pi) * (signs @ abs2)
-
-    parts = run_ordered(eval_chunk, betas.size, CHUNK, workers)
+        parts.append((2.0 / math.pi) * (signs @ abs2))
     return np.concatenate(parts) if parts else np.empty(0)
 
 
@@ -114,9 +109,9 @@ def wigner_point(state: FockVector, z: complex) -> float:
 
 
 def wigner_values(state: FockVector, zs: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Wigner function at every point of ``zs`` (any shape)."""
+    """Wigner function at every point of ``zs`` (any shape); ``workers`` is ignored."""
     zs = np.asarray(zs, dtype=np.complex128)
-    flat = _parity_values(state, -zs.ravel(), workers)
+    flat = _parity_values(state, -zs.ravel())
     return flat.reshape(zs.shape)
 
 
@@ -222,18 +217,69 @@ def wigner_grid_values(
     return (2.0 / math.pi) * dy * (integrand @ kernel).real
 
 
+def _midpoint_axis(half_width: float, step: float) -> np.ndarray:
+    """Midpoint-rule cell centres over [-half_width, half_width].
+
+    Raises ValueError, before allocating, for a non-finite or non-positive
+    input, an axis with no cell, or a square grid over the axis above
+    :data:`MAX_GRID_ELEMENTS`.
+    """
+    if not (0 < half_width < math.inf and 0 < step < math.inf):
+        raise ValueError(f"the half width and the step must be finite and positive, got {half_width!r} and {step!r}")
+    count = round(min(2.0 * half_width / step, MAX_GRID_ELEMENTS))  # bounded, so round() never meets inf
+    if count == 0:
+        raise ValueError(f"a step of {step!r} leaves no cell in [-{half_width!r}, {half_width!r}]")
+    check_grid_elements(count**2)
+    return -half_width + (np.arange(count) + 0.5) * step
+
+
 def wigner_normalization(
     state: FockVector, half_width: float = 6.0, step: float = 0.05, workers: int = 1
 ) -> tuple[float, np.ndarray]:
     """Midpoint-rule integral of the Wigner function over a centred box.
 
     Returns the integral (1 for any state whose phase-space support fits
-    the box) together with the sampled cell values.
+    the box) together with the sampled cell values; ``workers`` is ignored.
     """
-    count = int(round(2.0 * half_width / step))
-    centers = -half_width + (np.arange(count) + 0.5) * step
-    values = wigner_grid_values(state, centers, centers, workers)
+    centers = _midpoint_axis(half_width, step)
+    values = wigner_grid_values(state, centers, centers)
     return float(values.sum() * step * step), values
+
+
+def _radial_elements(k: int, count: int, r: np.ndarray) -> np.ndarray:
+    """<n+k|D(lambda)|n> / exp(ik arg lambda) for |lambda| = r, in row n < count.
+
+    That is sqrt(n!/(n+k)!) r^k exp(-r^2/2) L_n^(k)(r^2): row 0 is built in
+    log space, and the three-term recurrence of L_n^(k) in n gives the rest,
+    scaled so that no row exceeds 1 (L_n^(k)(0) = C(n+k, n) itself
+    overflows a double above about 1030 levels).
+    """
+    x = r * r
+    rows = np.empty((count, r.size))
+    rows[0] = np.exp(k * np.log(np.where(r > 0, r, 1.0)) - x / 2 - math.lgamma(k + 1.0) / 2)
+    for n in range(count - 1):
+        below = rows[n - 1] if n else 0.0
+        rows[n + 1] = ((2 * n + 1 + k - x) * rows[n] - math.sqrt(n * (n + k)) * below) / math.sqrt((n + 1) * (n + k + 1))
+    return rows
+
+
+def _characteristic_values(amps: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """<psi|D(lambda)|psi> at a flat array of lambdas, one diagonal k = m - n of <m|D|n> at a time.
+
+    With u = lambda/|lambda| and R_n = :func:`_radial_elements`, <n+k|D|n> = u^k R_n
+    and <n|D|n+k> = (-u*)^k R_n, so diagonal k adds b = u^k sum_n psi_(n+k)* psi_n R_n
+    and, for k > 0, (-1)^k b*.
+    """
+    r = np.abs(lams)
+    unit = lams / np.where(r > 0, r, 1.0)  # 0 at lambda = 0, where only k = 0 contributes
+    power = np.ones(lams.size, dtype=np.complex128)
+    chi = np.zeros(lams.size, dtype=np.complex128)
+    for k in range(amps.size):
+        count = amps.size - k
+        b = power * ((amps[k:].conj() * amps[:count]) @ _radial_elements(k, count, r))
+        chi += b if k == 0 else b + (-1) ** k * b.conj()
+        power *= unit
+    return chi
 
 
 class CharacteristicFunctionGrid:
@@ -242,33 +288,25 @@ class CharacteristicFunctionGrid:
     Precomputes <D(lambda)> on a midpoint grid over
     [-cutoff, cutoff]^2 once; each Wigner evaluation is then a cheap
     Fourier sum over the stored samples.  Useful when several
-    phase-space points are checked against the same state.
+    phase-space points are checked against the same state.  ``workers``
+    is ignored.
     """
 
     def __init__(self, state: FockVector, cutoff: float = 6.0, res: float = 0.04, workers: int = 1):
-        if cutoff <= 0 or res <= 0:
-            raise ValueError("cutoff and res must be positive")
-        count = int(round(2.0 * cutoff / res))
+        self.centers = _midpoint_axis(cutoff, res)
         self.cutoff = float(cutoff)
         self.res = float(res)
-        self.centers = -cutoff + (np.arange(count) + 0.5) * res
-        lam = self.centers[:, None] + 1j * self.centers[None, :]
-        flat = lam.ravel()
-        work = pad(state, required_dim(state, float(np.max(np.abs(flat)))))
-
-        def eval_chunk(sl: slice) -> np.ndarray:
-            return displacement_expectations(work, flat[sl])
-
+        flat = (self.centers[:, None] + 1j * self.centers[None, :]).ravel()
+        amps = state.amps[: state.support(SUPPORT_CUTOFF)]
         # the grid is symmetric under lambda -> -lambda (flat index
         # m -> M-1-m) and <D(-lambda)> = <D(lambda)>*, so only the
         # first half is evaluated
-        total = flat.size
-        half = (total + 1) // 2
-        parts = run_ordered(eval_chunk, half, CHUNK, workers)
-        values = np.empty(total, dtype=np.complex128)
-        values[:half] = np.concatenate(parts) if parts else ()
-        values[half:] = values[: total - half][::-1].conj()
-        self.values = values.reshape(lam.shape)
+        half = (flat.size + 1) // 2
+        values = np.empty(flat.size, dtype=np.complex128)
+        for lo in range(0, half, CHUNK):
+            values[lo : min(lo + CHUNK, half)] = _characteristic_values(amps, flat[lo : min(lo + CHUNK, half)])
+        values[half:] = values[: flat.size - half][::-1].conj()
+        self.values = values.reshape(self.centers.size, self.centers.size)
 
     def wigner_at(self, z: complex) -> float:
         """Fourier-sum the stored characteristic samples at one point."""

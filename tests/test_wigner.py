@@ -1,6 +1,8 @@
 """Wigner function: displaced parity primary route and quadrature check."""
 
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,3 +119,91 @@ class TestQuadratureCrossCheck:
         for x, p in rng.uniform(-2, 2, size=(5, 2)):
             z = complex(x, p)
             assert char.wigner_at(z) == pytest.approx(wigner_point(state, z), abs=1e-4)
+
+
+def _default_grid(state):
+    """<D(lambda)> on the default quadrature grid (cutoff 6, res 0.04) and the lambdas."""
+    char = CharacteristicFunctionGrid(state)
+    return char.values, char.centers[:, None] + 1j * char.centers[None, :]
+
+
+class TestCharacteristicFunctionClosedForms:
+    """The Laguerre matrix-element route against exact <D(lambda)> on every default grid point."""
+
+    def test_vacuum(self):
+        values, lam = _default_grid(basis_state(0, 64))
+        assert values.shape == (300, 300)
+        assert np.max(np.abs(values - np.exp(-np.abs(lam) ** 2 / 2))) <= 1e-12
+
+    def test_single_photon(self):
+        values, lam = _default_grid(basis_state(1, 64))
+        x = np.abs(lam) ** 2
+        assert np.max(np.abs(values - np.exp(-x / 2) * (1 - x))) <= 1e-12
+
+    def test_coherent_at_amplitude_four(self):
+        alpha = 4.0 * cmath.exp(0.7j)
+        state = coherent(alpha, 128)
+        assert state.support(wigner.SUPPORT_CUTOFF) == 84
+        values, lam = _default_grid(state)
+        exact = np.exp(-np.abs(lam) ** 2 / 2 + lam * alpha.conjugate() - lam.conj() * alpha)
+        assert np.max(np.abs(values - exact)) <= 1e-12
+
+    def test_odd_grid_centred_on_the_origin(self):
+        char = CharacteristicFunctionGrid(final_pointer_state(FIGURE_PRESET), cutoff=1.5, res=1.0)
+        assert np.array_equal(char.centers, [-1.0, 0.0, 1.0])
+        assert np.all(np.isfinite(char.values))
+        assert char.values[1, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+def _peak_bytes(call) -> int:
+    """Peak traced allocation while ``call()`` raises ValueError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReferenceRouteInput:
+    """The parity and quadrature routes reject bad input with ValueError, as the grid route does."""
+
+    @pytest.mark.parametrize("z", [math.inf, complex(0.0, -math.inf), complex(math.nan, 0.0)])
+    def test_wigner_point_rejects_non_finite_points(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            wigner_point(spacs(1.0, 64), z)
+
+    def test_wigner_values_rejects_non_finite_points(self):
+        with pytest.raises(ValueError, match="finite"):
+            wigner_values(spacs(1.0, 64), np.array([0.0, 1.0 + 1j, complex(1.0, math.nan)]))
+
+    @pytest.mark.parametrize(
+        "half_width, step",
+        [(1.0, -0.1), (1.0, 0.0), (0.0, 0.05), (-6.0, 0.05), (1.0, math.inf), (math.inf, 0.05), (math.nan, 0.05), (6.0, math.nan)],
+    )
+    def test_normalization_rejects_bad_box(self, half_width, step):
+        with pytest.raises(ValueError, match="finite and positive"):
+            wigner_normalization(spacs(1.0, 64), half_width, step)
+
+    @pytest.mark.parametrize(
+        "cutoff, res",
+        [(6.0, -0.04), (6.0, 0.0), (0.0, 0.04), (-6.0, 0.04), (6.0, math.inf), (math.inf, 0.04), (math.nan, 0.04), (6.0, math.nan)],
+    )
+    def test_characteristic_grid_rejects_bad_range(self, cutoff, res):
+        with pytest.raises(ValueError, match="finite and positive"):
+            CharacteristicFunctionGrid(spacs(1.0, 64), cutoff, res)
+
+    @pytest.mark.parametrize("route", [wigner_normalization, CharacteristicFunctionGrid])
+    def test_step_that_leaves_no_cell_is_rejected(self, route):
+        # the midpoint rule would have no cell, and the integral would read 0
+        with pytest.raises(ValueError, match="no cell"):
+            route(spacs(1.0, 64), 0.1, 1.0)
+
+    @pytest.mark.parametrize("step", [1e-6, 1e-300])
+    @pytest.mark.parametrize("route", ["normalization", "characteristic"])
+    def test_over_cap_grid_is_rejected_before_allocating(self, route, step):
+        state = spacs(1.0, 64)
+        build = wigner_normalization if route == "normalization" else CharacteristicFunctionGrid
+        # a 1e-6 step asks for 1.2e7 cells per axis: 96 MB for the axis alone
+        assert _peak_bytes(lambda: build(state, 6.0, step)) < 2**20

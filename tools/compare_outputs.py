@@ -13,8 +13,9 @@ only.
 
 The invocations are the benchmark's (``bench/run.py`` at seed 0, so at
 the preset angles), then ``fig2b``, the printed far-field Wigner panel,
-an audit subset at other angles, ``rerun`` of the first manifest, the
-help and version texts, and three printed-backend overflows.
+an audit subset at other angles, ``rerun`` of the first manifest, a
+sweep and a Wigner grid with ``--workers`` above 1, the help and
+version texts, and three printed-backend overflows.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def cases() -> list[tuple[list[str], bool]]:
          "--p-min", "0", "--p-max", "0", "--grid-step", "1"],
         ["audit", "--quantities", "wigner,kappa_sq,m_a", "--theta", "0.3", "--delta", "5.1"],
         ["rerun", "out0.csv.manifest"],
+        ["fig1a", "--workers", "4"],
+        ["wigner", "--grid-step", "0.1", "--workers", "3"],
         ["fig1b", "--backend", "printed", "--s", "1e200", "--r-max", "0"],
         ["wigner", "--backend", "printed", "--s", "1e200"],
     ]
