@@ -106,7 +106,12 @@ def sweep_s(
     backend: str = "oracle",
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Sweep the coupling ratio at fixed amplitude, one curve per angle (``workers`` is ignored)."""
+    """Sweep the coupling ratio at fixed amplitude, one curve per angle.
+
+    ``workers`` is accepted, so that old callers and manifests still
+    work, and ignored: a block of columns is a handful of array
+    operations.
+    """
     validate(base)
     lo, hi, step = s_range
     values = grid_values(lo, hi, step)

@@ -41,6 +41,7 @@ import math
 
 import numpy as np
 
+from ._parallel import run_ordered
 from .errors import TruncationTooSmall
 from .fock import TAIL_LEVELS, TAIL_THRESHOLD, FockVector, _displaced_core, pad
 
@@ -68,6 +69,12 @@ MAX_GRID_ELEMENTS = 2**24
 #: Ceiling of the Hermite recurrence's scaled frame; h_n above it is divided by it.
 _RESCALE = 1e150
 
+#: Largest |lambda| at which the characteristic-function route runs the
+#: Laguerre recurrence.  Beyond it the frame's products could overflow,
+#: and every <m|D(lambda)|n> with m, n below 2^60 is below
+#: exp(-|lambda|^2/4), so 0.
+_FAR_LAMBDA = 1e50
+
 
 def required_dim(state: FockVector, beta_max: float) -> int:
     """Truncation dimension safe for displacing ``state`` by up to ``beta_max``.
@@ -88,10 +95,10 @@ def _parity_values(state: FockVector, betas: np.ndarray) -> np.ndarray:
         raise ValueError("phase-space points must be finite")
     work = pad(state, required_dim(state, float(np.max(np.abs(betas))) if betas.size else 0.0))
     signs = np.where(np.arange(work.dim) % 2 == 0, 1.0, -1.0)
-    parts = []
-    for lo in range(0, betas.size, CHUNK):
+
+    def eval_chunk(sl: slice) -> np.ndarray:
         # parity only needs magnitudes, so the outer phase rotation is skipped
-        _, cols = _displaced_core(work, betas[lo : lo + CHUNK])
+        _, cols = _displaced_core(work, betas[sl])
         abs2 = cols.real**2 + cols.imag**2
         tail = float(np.max(np.sum(abs2[-TAIL_LEVELS:, :], axis=0)))
         if tail > TAIL_THRESHOLD:
@@ -99,7 +106,9 @@ def _parity_values(state: FockVector, betas: np.ndarray) -> np.ndarray:
                 f"displaced state leaks {tail:.3e} into the top {TAIL_LEVELS} "
                 f"of {work.dim} levels; phase-space point too far out"
             )
-        parts.append((2.0 / math.pi) * (signs @ abs2))
+        return (2.0 / math.pi) * (signs @ abs2)
+
+    parts = run_ordered(eval_chunk, betas.size, CHUNK)
     return np.concatenate(parts) if parts else np.empty(0)
 
 
@@ -246,39 +255,60 @@ def wigner_normalization(
     return float(values.sum() * step * step), values
 
 
-def _radial_elements(k: int, count: int, r: np.ndarray) -> np.ndarray:
-    """<n+k|D(lambda)|n> / exp(ik arg lambda) for |lambda| = r, in row n < count.
+def _radial_sum(coef: np.ndarray, k: int, r: np.ndarray) -> np.ndarray:
+    """sum_n coef[n] <n+k|D(lambda)|n> / exp(ik arg lambda) for |lambda| = r.
 
-    That is sqrt(n!/(n+k)!) r^k exp(-r^2/2) L_n^(k)(r^2): row 0 is built in
-    log space, and the three-term recurrence of L_n^(k) in n gives the rest,
-    scaled so that no row exceeds 1 (L_n^(k)(0) = C(n+k, n) itself
-    overflows a double above about 1030 levels).
+    The matrix element is sqrt(n!/(n+k)!) r^k exp(-r^2/2) L_n^(k)(r^2);
+    the three-term recurrence of L_n^(k) in n is run on these scaled
+    elements, which never exceed 1 (L_n^(k)(0) = C(n+k, n) itself
+    overflows a double above about 1030 levels).  Row 0,
+    r^k exp(-r^2/2) / sqrt(k!), underflows for r above about 38.6
+    although rows near n = r^2/4 are O(1), so, as in
+    :func:`_position_amplitudes`, the recurrence runs in a per-point
+    frame that starts at 1 with row 0 as its log-scale and is divided
+    by _RESCALE wherever it exceeds it.  r must not exceed _FAR_LAMBDA.
     """
     x = r * r
-    rows = np.empty((count, r.size))
-    rows[0] = np.exp(k * np.log(np.where(r > 0, r, 1.0)) - x / 2 - math.lgamma(k + 1.0) / 2)
-    for n in range(count - 1):
-        below = rows[n - 1] if n else 0.0
-        rows[n + 1] = ((2 * n + 1 + k - x) * rows[n] - math.sqrt(n * (n + k)) * below) / math.sqrt((n + 1) * (n + k + 1))
-    return rows
+    log_scale = k * np.log(np.where(r > 0, r, 1.0)) - x / 2 - math.lgamma(k + 1.0) / 2
+    prev = np.zeros_like(r)
+    cur = np.ones_like(r)
+    acc = coef[0] * cur
+    for n in range(coef.size - 1):
+        prev, cur = cur, ((2 * n + 1 + k - x) * cur - math.sqrt(n * (n + k)) * prev) / math.sqrt((n + 1) * (n + k + 1))
+        acc += coef[n + 1] * cur
+        if cur.max() > _RESCALE or cur.min() < -_RESCALE:
+            big = np.abs(cur) > _RESCALE
+            prev[big] /= _RESCALE
+            cur[big] /= _RESCALE
+            acc[big] /= _RESCALE
+            log_scale[big] += math.log(_RESCALE)
+    return acc * np.exp(log_scale)
 
 
 def _characteristic_values(amps: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """<psi|D(lambda)|psi> at a flat array of lambdas, one diagonal k = m - n of <m|D|n> at a time.
 
-    With u = lambda/|lambda| and R_n = :func:`_radial_elements`, <n+k|D|n> = u^k R_n
+    With u = lambda/|lambda| and R_n the element of :func:`_radial_sum`, <n+k|D|n> = u^k R_n
     and <n|D|n+k> = (-u*)^k R_n, so diagonal k adds b = u^k sum_n psi_(n+k)* psi_n R_n
-    and, for k > 0, (-1)^k b*.
+    and, for k > 0, (-1)^k b*.  Points with |lambda| above _FAR_LAMBDA get 0.
     """
+    chi = np.zeros(lams.size, dtype=np.complex128)
     r = np.abs(lams)
+    near = r <= _FAR_LAMBDA
+    if not near.any():
+        return chi
+    r, lams = r[near], lams[near]
     unit = lams / np.where(r > 0, r, 1.0)  # 0 at lambda = 0, where only k = 0 contributes
     power = np.ones(lams.size, dtype=np.complex128)
-    chi = np.zeros(lams.size, dtype=np.complex128)
+    total = np.zeros(lams.size, dtype=np.complex128)
     for k in range(amps.size):
-        count = amps.size - k
-        b = power * ((amps[k:].conj() * amps[:count]) @ _radial_elements(k, count, r))
-        chi += b if k == 0 else b + (-1) ** k * b.conj()
+        coef = amps[k:].conj() * amps[: amps.size - k]
+        used = np.flatnonzero(coef)
+        if used.size:  # rows past the last nonzero coefficient add nothing
+            b = power * _radial_sum(coef[: used[-1] + 1], k, r)
+            total += b if k == 0 else b + (-1) ** k * b.conj()
         power *= unit
+    chi[near] = total
     return chi
 
 
@@ -302,10 +332,8 @@ class CharacteristicFunctionGrid:
         # m -> M-1-m) and <D(-lambda)> = <D(lambda)>*, so only the
         # first half is evaluated
         half = (flat.size + 1) // 2
-        values = np.empty(flat.size, dtype=np.complex128)
-        for lo in range(0, half, CHUNK):
-            values[lo : min(lo + CHUNK, half)] = _characteristic_values(amps, flat[lo : min(lo + CHUNK, half)])
-        values[half:] = values[: flat.size - half][::-1].conj()
+        first = np.concatenate(run_ordered(lambda sl: _characteristic_values(amps, flat[sl]), half, CHUNK))
+        values = np.concatenate([first, first[: flat.size - half][::-1].conj()])
         self.values = values.reshape(self.centers.size, self.centers.size)
 
     def wigner_at(self, z: complex) -> float:

@@ -148,6 +148,23 @@ class TestCharacteristicFunctionClosedForms:
         exact = np.exp(-np.abs(lam) ** 2 / 2 + lam * alpha.conjugate() - lam.conj() * alpha)
         assert np.max(np.abs(values - exact)) <= 1e-12
 
+    def test_high_fock_state_past_row_zero_underflow(self):
+        # <900|D(lambda)|900> = exp(-x/2) L_900(x) with x = |lambda|^2; row 0
+        # of the recurrence, exp(-x/2), underflows for |lambda| above 38.6,
+        # where the element is still about 0.02
+        mpmath = pytest.importorskip("mpmath")
+        char = CharacteristicFunctionGrid(basis_state(900, 912), cutoff=48.0, res=8.0)
+        x = np.abs(char.centers[:, None] + 1j * char.centers[None, :]) ** 2
+        with mpmath.workdps(30):
+            exact = np.vectorize(lambda v: float(mpmath.exp(-v / 2) * mpmath.laguerre(900, 0, v)))(x)
+        assert np.max(np.abs(exact[x > 40.0**2])) > 0.01
+        assert np.max(np.abs(char.values - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("cutoff, res", [(1e49, 1e48), (3e153, 1e153), (1e200, 1e199)])
+    def test_far_points_are_zero(self, cutoff, res):
+        # |lambda|^2 overflows a double on the last grid; the exact values are far below 1e-300
+        assert np.all(CharacteristicFunctionGrid(basis_state(3, 16), cutoff, res).values == 0)
+
     def test_odd_grid_centred_on_the_origin(self):
         char = CharacteristicFunctionGrid(final_pointer_state(FIGURE_PRESET), cutoff=1.5, res=1.0)
         assert np.array_equal(char.centers, [-1.0, 0.0, 1.0])
@@ -182,17 +199,10 @@ class TestReferenceRouteInput:
         "half_width, step",
         [(1.0, -0.1), (1.0, 0.0), (0.0, 0.05), (-6.0, 0.05), (1.0, math.inf), (math.inf, 0.05), (math.nan, 0.05), (6.0, math.nan)],
     )
-    def test_normalization_rejects_bad_box(self, half_width, step):
+    @pytest.mark.parametrize("route", [wigner_normalization, CharacteristicFunctionGrid])
+    def test_bad_range_is_rejected(self, route, half_width, step):
         with pytest.raises(ValueError, match="finite and positive"):
-            wigner_normalization(spacs(1.0, 64), half_width, step)
-
-    @pytest.mark.parametrize(
-        "cutoff, res",
-        [(6.0, -0.04), (6.0, 0.0), (0.0, 0.04), (-6.0, 0.04), (6.0, math.inf), (math.inf, 0.04), (math.nan, 0.04), (6.0, math.nan)],
-    )
-    def test_characteristic_grid_rejects_bad_range(self, cutoff, res):
-        with pytest.raises(ValueError, match="finite and positive"):
-            CharacteristicFunctionGrid(spacs(1.0, 64), cutoff, res)
+            route(spacs(1.0, 64), half_width, step)
 
     @pytest.mark.parametrize("route", [wigner_normalization, CharacteristicFunctionGrid])
     def test_step_that_leaves_no_cell_is_rejected(self, route):
