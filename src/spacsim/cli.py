@@ -44,10 +44,10 @@ from .audit import (
 from .errors import SpacsimError
 from .fock import final_pointer_state
 from .io import WignerGrid, load_manifest, manifest_argv, write_columns, write_manifest
-from .params import DEFAULT_TRUNC, FIGURE_PRESET, ExperimentParams, validate
+from .params import DEFAULT_TRUNC, FIGURE_PRESET, ExperimentParams, check_fields, validate
 from .printed import printed_wigner_values
 from .squeezing import point_report
-from .sweeps import DEFAULT_PHIS, DEFAULT_STEP, FIDELITY_COUPLINGS, SweepRow, fidelity_table, grid_values, sweep_r, sweep_s
+from .sweeps import DEFAULT_PHIS, DEFAULT_STEP, FIDELITY_COUPLINGS, SweepColumns, fidelity_columns, grid_values, sweep_columns
 from .wigner import check_grid_elements, wigner_grid_values
 
 REPORT_COLUMNS = ["s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity"]
@@ -104,29 +104,29 @@ class Command(NamedTuple):
     epilog: str | None = None
 
 
-def _fail_on_row_errors(rows: list[SweepRow]) -> None:
-    for row in rows:
-        if row.error:
-            raise SpacsimError(f"row phi={row.phi} r={row.r} s={row.s} failed: {row.error}")
+def _fail_on_row_errors(*sweeps: SweepColumns) -> None:
+    for sweep in sweeps:
+        for j, error in enumerate(sweep.errors):
+            if error:
+                raise SpacsimError(f"row phi={sweep.phi[j].item()} r={sweep.r[j].item()} s={sweep.s[j].item()} failed: {error}")
 
 
 def _run_sweep(args: argparse.Namespace, params: ExperimentParams) -> Output:
     """fig1a/fig2a sweep the coupling and fig1b/fig2b the amplitude; the range flags say which."""
     swept = "s" if hasattr(args, "s_min") else "r"
     for phi in args.phis:
-        validate(params.with_(phi=float(phi)))
-    sweep = sweep_s if swept == "s" else sweep_r
-    rows = sweep(params, tuple(args.phis), _range(args, swept), args.backend)
-    _fail_on_row_errors(rows)
-    columns = [[row.phi for row in rows], [getattr(row, swept) for row in rows]]
-    columns += [[getattr(row.report, name) for row in rows] for name in _REPORT_FIELDS]
+        check_fields(phi=float(phi))
+    sweep = sweep_columns(params, swept, grid_values(*_range(args, swept)), args.phis, args.backend)
+    _fail_on_row_errors(sweep)
+    columns = [sweep.phi, getattr(sweep, swept)] + [getattr(sweep.report, name) for name in _REPORT_FIELDS]
     return Output(["phi", swept] + REPORT_COLUMNS, columns)
 
 
 def _run_fig3(args: argparse.Namespace, params: ExperimentParams) -> Output:
-    r_grid, table = fidelity_table(params, tuple(args.s_values), _range(args, "r"), args.backend)
-    _fail_on_row_errors([row for rows in table.values() for row in rows])
-    columns = [[row.report.fidelity_to_initial for row in table[s]] for s in args.s_values]
+    r_grid = grid_values(*_range(args, "r"))
+    sweeps = fidelity_columns(params, args.s_values, r_grid, args.backend)
+    _fail_on_row_errors(*sweeps)
+    columns = [sweep.report.fidelity_to_initial for sweep in sweeps]
     return Output(["r"] + [f"fidelity_s{s!r}" for s in args.s_values], [r_grid] + columns)
 
 

@@ -91,9 +91,11 @@ def _normalised(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     :data:`TAIL_LEVELS` levels.  Columns are divided by their largest
     modulus first, so neither the share nor the norm underflows for
     tiny amplitudes; a column with no finite nonzero amplitude comes out
-    NaN throughout.
+    NaN throughout.  A subnormal largest modulus overflows the complex
+    division to inf, which gives a NaN share and fails the column, so
+    numpy's overflow warning is silenced too.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         scale = np.max(np.abs(cols), axis=0)
         scaled = cols / scale
         prob = scaled.real**2 + scaled.imag**2
@@ -135,6 +137,14 @@ def basis_state(n: int, dim: int) -> FockVector:
     return _as_state(amps, f"basis_state({n})")
 
 
+@lru_cache(maxsize=8)
+def _half_log_factorials(dim: int) -> np.ndarray:
+    """log(n!)/2 for n = 0 .. dim - 1 as a read-only (dim, 1) column, built once per dimension."""
+    column = np.array([math.lgamma(k + 1.0) / 2 for k in range(dim)])[:, None]
+    column.setflags(write=False)
+    return column
+
+
 def _coherent_columns(alphas: np.ndarray, dim: int) -> np.ndarray:
     """Coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!), one column per amplitude.
 
@@ -146,7 +156,7 @@ def _coherent_columns(alphas: np.ndarray, dim: int) -> np.ndarray:
     """
     r = np.abs(alphas)
     n = np.arange(dim)[:, None]
-    half_log_fact = np.array([math.lgamma(k + 1.0) / 2 for k in range(dim)])[:, None]
+    half_log_fact = _half_log_factorials(dim)
     log_alpha = np.log(np.where(r > 0, r, 1.0)) + 1j * np.angle(alphas)
     with np.errstate(over="ignore"):
         amps = np.exp(n * log_alpha - r**2 / 2 - half_log_fact)

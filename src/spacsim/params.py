@@ -80,29 +80,43 @@ def validate(params: ExperimentParams) -> ExperimentParams:
     Raises RangeError naming the offending field, or
     DegeneratePostselection for phi >= pi.
     """
-    if not math.isfinite(params.r) or params.r < 0:
-        raise RangeError("r", f"coherent amplitude modulus must be >= 0, got {params.r}")
-    if not math.isfinite(params.theta) or not 0 <= params.theta < TWO_PI:
-        raise RangeError("theta", f"phase must lie in [0, 2*pi), got {params.theta}")
-    if not math.isfinite(params.delta) or not 0 <= params.delta <= TWO_PI:
-        raise RangeError("delta", f"phase must lie in [0, 2*pi], got {params.delta}")
-    if not math.isfinite(params.phi) or params.phi < 0:
-        raise RangeError("phi", f"polar angle must be >= 0, got {params.phi}")
-    if params.phi >= math.pi:
-        raise DegeneratePostselection(
-            f"phi = {params.phi} >= pi: pre- and postselection are orthogonal"
-        )
-    if not math.isfinite(params.s) or params.s < 0:
-        raise RangeError("s", f"coupling ratio must be >= 0, got {params.s}")
-    if not isinstance(params.trunc, int) or params.trunc < MIN_TRUNC:
+    check_fields(params.r, params.theta, params.delta, params.phi, params.s, params.trunc)
+    return params
+
+
+def check_fields(
+    r: float = 0.0,
+    theta: float = 0.0,
+    delta: float = 0.0,
+    phi: float = 0.0,
+    s: float = 0.0,
+    trunc: int = DEFAULT_TRUNC,
+) -> None:
+    """The checks of :func:`validate` on loose field values, in field order.
+
+    An omitted field takes a valid value, so a sweep can check the
+    fields it varies without building a parameter point for each value.
+    """
+    if not math.isfinite(r) or r < 0:
+        raise RangeError("r", f"coherent amplitude modulus must be >= 0, got {r}")
+    if not math.isfinite(theta) or not 0 <= theta < TWO_PI:
+        raise RangeError("theta", f"phase must lie in [0, 2*pi), got {theta}")
+    if not math.isfinite(delta) or not 0 <= delta <= TWO_PI:
+        raise RangeError("delta", f"phase must lie in [0, 2*pi], got {delta}")
+    if not math.isfinite(phi) or phi < 0:
+        raise RangeError("phi", f"polar angle must be >= 0, got {phi}")
+    if phi >= math.pi:
+        raise DegeneratePostselection(f"phi = {phi} >= pi: pre- and postselection are orthogonal")
+    if not math.isfinite(s) or s < 0:
+        raise RangeError("s", f"coupling ratio must be >= 0, got {s}")
+    if not isinstance(trunc, int) or trunc < MIN_TRUNC:
         raise RangeError(
             "trunc",
             f"truncation dimension must be an integer >= {MIN_TRUNC}, the least that can pass "
-            f"the tail check, got {params.trunc}",
+            f"the tail check, got {trunc}",
         )
-    if params.trunc > MAX_TRUNC:
-        raise RangeError("trunc", f"truncation dimension must be <= {MAX_TRUNC}, got {params.trunc}")
-    return params
+    if trunc > MAX_TRUNC:
+        raise RangeError("trunc", f"truncation dimension must be <= {MAX_TRUNC}, got {trunc}")
 
 
 def weak_value(delta: float, phi: float) -> complex:

@@ -10,6 +10,12 @@ suspected misprint is carried over as written and the few genuinely
 ambiguous readings are resolved minimally and recorded in
 TRANSCRIPTION_NOTES.md at the repository root.
 
+Each expression is written once.  Its exponentials go through
+one dispatch, cmath/math for a number and numpy for an array, so the
+same text evaluates one point (:func:`printed_moments`,
+:func:`printed_wigner`) or a column of points
+(:func:`printed_moment_columns`, :func:`printed_wigner_values`).
+
 Known readings (details in the notes file):
 
 * the normalisation writes |<sx>|^2 without the weak-value subscript;
@@ -38,7 +44,11 @@ from .params import ExperimentParams, validate, weak_value
 
 @dataclass(frozen=True)
 class PrintedMomentSet:
-    """The five printed moments plus the printed normalisation kappa^2."""
+    """The five printed moments plus the printed normalisation kappa^2.
+
+    Scalars for one point; :func:`printed_moment_columns` fills each
+    field with one value per point instead.
+    """
 
     m_a: complex
     m_a2: complex
@@ -68,8 +78,29 @@ def _overflow_is_numerical(evaluate):
     return evaluated
 
 
+def _exp(x):
+    """exp of a complex or real scalar with cmath or math, of an array with np.exp.
+
+    Every other operation in the transcription works unchanged on
+    Python numbers and on numpy arrays, so this one dispatch lets each
+    expression be written once and evaluated over a single point or a
+    column of points.
+    """
+    if isinstance(x, np.ndarray):
+        return np.exp(x)
+    return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
+
+
 def _gamma_sq(alpha: complex) -> float:
     return 1.0 / (1.0 + abs(alpha) ** 2)
+
+
+def _inverse_kappa_sq(alpha: complex, s: float, w: complex) -> float:
+    """The printed expression 1/kappa^2, before its sign is checked."""
+    g2 = _gamma_sq(alpha)
+    bracket = (1.0 / g2) - s * s + alpha * s - alpha.conjugate() * s
+    cross = (1 + w.conjugate()) * (1 - w) * bracket * _exp(2j * s * alpha.imag)
+    return 1.0 + abs(w) ** 2 + g2 * _exp(-s * s / 2.0) * cross.real
 
 
 @_overflow_is_numerical
@@ -81,20 +112,16 @@ def printed_kappa_sq(params: ExperimentParams) -> float:
     g^2 = 1/(1+|alpha|^2).  Collapses to 1/2 at s = 0.
     """
     validate(params)
-    alpha, s = params.alpha, params.s
-    w = weak_value(params.delta, params.phi)
-    g2 = _gamma_sq(alpha)
-    bracket = (1.0 / g2) - s * s + alpha * s - alpha.conjugate() * s
-    cross = (1 + w.conjugate()) * (1 - w) * bracket * cmath.exp(2j * s * alpha.imag)
-    inv = 1.0 + abs(w) ** 2 + g2 * math.exp(-s * s / 2.0) * cross.real
+    inv = _inverse_kappa_sq(params.alpha, params.s, weak_value(params.delta, params.phi))
     if inv <= 0.0:
         raise NonPositiveNorm(f"printed normalisation expression is {inv} at {params}")
     return 1.0 / inv
 
 
 # --- helper functions, one per printed symbol ------------------------------
-# All take the coherent amplitude and the signed coupling; gamma^2 is
-# rebuilt inside each helper exactly as the factors appear in print.
+# All take the coherent amplitude and the signed coupling, as numbers or
+# as arrays of one entry per point; gamma^2 is rebuilt inside each helper
+# exactly as the factors appear in print.
 
 
 def t1(alpha: complex, s: float) -> float:
@@ -120,7 +147,7 @@ def t3(alpha: complex, s: float) -> complex:
         - 16 * alpha * s
         + 4
     )
-    return 0.25 * g2 * cmath.exp(2j * s * alpha.imag) * math.exp(-s * s / 2.0) * poly
+    return 0.25 * g2 * _exp(2j * s * alpha.imag) * _exp(-s * s / 2.0) * poly
 
 
 def w1(alpha: complex, s: float) -> complex:
@@ -134,7 +161,7 @@ def w1(alpha: complex, s: float) -> complex:
         - 3 * alpha * s * s
         - 3 * s
     )
-    return 0.5 * cmath.exp(2j * s * alpha.imag) * math.exp(-s * s / 2.0) * poly
+    return 0.5 * _exp(2j * s * alpha.imag) * _exp(-s * s / 2.0) * poly
 
 
 def q1(alpha: complex, s: float) -> complex:
@@ -156,7 +183,7 @@ def q2(alpha: complex, s: float) -> complex:
         - 3 * alpha * s * s
         - 5 * s
     )
-    return -0.25 * cmath.exp(2j * s * alpha.imag) * math.exp(-s * s / 2.0) * g2 * (s - 2 * alpha) * poly
+    return -0.25 * _exp(2j * s * alpha.imag) * _exp(-s * s / 2.0) * g2 * (s - 2 * alpha) * poly
 
 
 def f1(alpha: complex, s: float) -> float:
@@ -188,7 +215,7 @@ def f3(alpha: complex, s: float) -> complex:
         + 3 * s * ac * (s - 2 * alpha) * (s - alpha)
         + 28j * s * alpha.imag
         + s * s * (2 * alpha * alpha + s * s - 3 * alpha * s - 9)
-        + 16 * cmath.exp(-0.5 * s * (s - 4j * alpha.imag))
+        + 16 * _exp(-0.5 * s * (s - 4j * alpha.imag))
     )
     return -g2 / 16.0 * (s - 2 * alpha) * (2 * ac + s) * inner
 
@@ -216,22 +243,16 @@ def h2(alpha: complex, s: float) -> complex:
         - 3 * alpha * s * s
         - 9 * s
     )
-    return -g2 / 16.0 * cmath.exp(2j * s * alpha.imag) * math.exp(-s * s / 2.0) * (s - 2 * alpha) ** 3 * poly
+    return -g2 / 16.0 * _exp(2j * s * alpha.imag) * _exp(-s * s / 2.0) * (s - 2 * alpha) ** 3 * poly
 
 
-@_overflow_is_numerical
-def printed_moments(params: ExperimentParams) -> PrintedMomentSet:
-    """All five printed moments of the conditioned pointer state.
+def _moment_terms(alpha: complex, s: float, w: complex, k2: float) -> tuple:
+    """The printed m_a, m_a2, m_a4, n_mean and m_a2d2, given kappa^2.
 
     Combines the helpers with the printed branch weights
     |1+w|^2, |1-w|^2 and the (1+-w)(1-+w)* cross coefficients, scaled
-    by the printed kappa^2.  Values are returned exactly as the text
-    gives them; the audit harness owns any comparison to the oracle.
+    by the printed kappa^2.
     """
-    validate(params)
-    alpha, s = params.alpha, params.s
-    w = weak_value(params.delta, params.phi)
-    k2 = printed_kappa_sq(params)
     g2 = _gamma_sq(alpha)
     dp = abs(1 + w) ** 2
     dm = abs(1 - w) ** 2
@@ -258,6 +279,21 @@ def printed_moments(params: ExperimentParams) -> PrintedMomentSet:
 
     m_a4 = k2 * (dp * h1(alpha, s) + dm * h1(alpha, -s) + cmp_.conjugate() * h2(alpha, s) + cmp_ * h2(alpha, -s))
 
+    return m_a, m_a2, m_a4, n_mean, m_a2d2
+
+
+@_overflow_is_numerical
+def printed_moments(params: ExperimentParams) -> PrintedMomentSet:
+    """All five printed moments of the conditioned pointer state.
+
+    Values are returned exactly as the text gives them; the audit
+    harness owns any comparison to the oracle.
+    """
+    validate(params)
+    k2 = printed_kappa_sq(params)
+    m_a, m_a2, m_a4, n_mean, m_a2d2 = _moment_terms(
+        params.alpha, params.s, weak_value(params.delta, params.phi), k2
+    )
     return PrintedMomentSet(
         m_a=complex(m_a),
         m_a2=complex(m_a2),
@@ -266,6 +302,33 @@ def printed_moments(params: ExperimentParams) -> PrintedMomentSet:
         m_a2d2=float(m_a2d2),
         kappa_sq=k2,
     )
+
+
+def printed_moment_columns(alpha, s, w) -> PrintedMomentSet:
+    """:func:`printed_moments` over columns of alpha, s and the weak value w.
+
+    Each field holds one entry per point; the points must already be
+    valid.  The expressions are those of the scalar form, evaluated with
+    numpy, so values agree with it to rounding (within 1e-13 relative
+    on the figure grids), not bit for bit.  Raises
+    :class:`NumericalOverflow` if any expression overflows a double and
+    :class:`NonPositiveNorm` if any normalisation is <= 0; neither names
+    the point, which the scalar form does.
+    """
+    alpha, s, w = np.broadcast_arrays(
+        np.asarray(alpha, dtype=np.complex128), np.asarray(s, dtype=np.float64), np.asarray(w, dtype=np.complex128)
+    )
+    try:
+        with np.errstate(over="raise"):
+            inv = _inverse_kappa_sq(alpha, s, w)
+            bad = np.flatnonzero(inv <= 0.0)  # a NaN passes, as in the scalar form
+            if bad.size:
+                raise NonPositiveNorm(f"printed normalisation expression is {inv[bad[0]]} at column {bad[0]}")
+            k2 = 1.0 / inv
+            terms = _moment_terms(alpha, s, w, k2)
+    except FloatingPointError as exc:
+        raise NumericalOverflow(f"printed_moment_columns: the printed expression overflows a double: {exc}") from exc
+    return PrintedMomentSet(*terms, kappa_sq=k2)
 
 
 def _w_helper(alpha: complex, s: float, z: complex) -> float:
@@ -278,36 +341,30 @@ def _w_helper(alpha: complex, s: float, z: complex) -> float:
     """
     shifted = abs(2 * z - alpha) ** 2
     return (
-        math.exp(-s * s / 2.0 - 2.0 * (alpha.real - z.real) * s - 2.0 * abs(z - alpha) ** 2)
+        _exp(-s * s / 2.0 - 2.0 * (alpha.real - z.real) * s - 2.0 * abs(z - alpha) ** 2)
         * (-1.0 + shifted + 2 * s * (alpha.real - 2 * z.real + s / 2.0))
     )
+
+
+def _wigner(alpha: complex, s: float, w: complex, k2: float, z: complex) -> float:
+    """The printed Wigner function at z, a point or an array of points, given kappa^2."""
+    cross = (1 + w).conjugate() * (1 - w) * _exp(2j * s * z.imag)
+    brace = (
+        abs(1 + w) ** 2 * _w_helper(alpha, s, z)
+        + abs(1 - w) ** 2 * _w_helper(alpha, -s, z)
+        + 2.0 * (-1.0 + abs(2 * z - alpha) ** 2) * cross.real * _exp(-2.0 * abs(z - alpha) ** 2)
+    )
+    prefactor = 2.0 * k2 / (math.pi * (1.0 + abs(alpha) ** 2))
+    return prefactor * brace
 
 
 @_overflow_is_numerical
 def printed_wigner(params: ExperimentParams, z: complex) -> float:
     """Closed-form Wigner function exactly as printed."""
     validate(params)
-    alpha, s = params.alpha, params.s
     z = complex(z)
     w = weak_value(params.delta, params.phi)
-    k2 = printed_kappa_sq(params)
-    cross = (1 + w).conjugate() * (1 - w) * cmath.exp(2j * s * z.imag)
-    brace = (
-        abs(1 + w) ** 2 * _w_helper(alpha, s, z)
-        + abs(1 - w) ** 2 * _w_helper(alpha, -s, z)
-        + 2.0 * (-1.0 + abs(2 * z - alpha) ** 2) * cross.real * math.exp(-2.0 * abs(z - alpha) ** 2)
-    )
-    prefactor = 2.0 * k2 / (math.pi * (1.0 + abs(alpha) ** 2))
-    return prefactor * brace
-
-
-def _w_helper_values(alpha: complex, s: float, zs: np.ndarray) -> np.ndarray:
-    """:func:`_w_helper` term for term over an array of points."""
-    shifted = np.abs(2 * zs - alpha) ** 2
-    return (
-        np.exp(-s * s / 2.0 - 2.0 * (alpha.real - zs.real) * s - 2.0 * np.abs(zs - alpha) ** 2)
-        * (-1.0 + shifted + 2 * s * (alpha.real - 2 * zs.real + s / 2.0))
-    )
+    return _wigner(params.alpha, params.s, w, printed_kappa_sq(params), z)
 
 
 @_overflow_is_numerical
@@ -318,16 +375,8 @@ def printed_wigner_values(params: ExperimentParams, zs: np.ndarray) -> np.ndarra
     rather than leaving inf * 0 = NaN in the result.
     """
     validate(params)
-    alpha, s = params.alpha, params.s
     zs = np.asarray(zs, dtype=np.complex128)
     w = weak_value(params.delta, params.phi)
     k2 = printed_kappa_sq(params)
     with np.errstate(over="raise"):
-        cross = (1 + w).conjugate() * (1 - w) * np.exp(2j * s * zs.imag)
-        brace = (
-            abs(1 + w) ** 2 * _w_helper_values(alpha, s, zs)
-            + abs(1 - w) ** 2 * _w_helper_values(alpha, -s, zs)
-            + 2.0 * (-1.0 + np.abs(2 * zs - alpha) ** 2) * cross.real * np.exp(-2.0 * np.abs(zs - alpha) ** 2)
-        )
-        prefactor = 2.0 * k2 / (math.pi * (1.0 + abs(alpha) ** 2))
-        return prefactor * brace
+        return _wigner(params.alpha, params.s, w, k2, zs)

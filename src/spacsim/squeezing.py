@@ -64,11 +64,13 @@ def report_from_moments(m: Moments, fidelity_to_initial: float) -> SqueezingRepo
     )
 
 
-def column_reports(cols: PointerColumns) -> list[SqueezingReport]:
-    """One report per column of a pointer batch; a failed column reports NaN."""
+def column_report(cols: PointerColumns) -> SqueezingReport:
+    """Reports of every column of a pointer batch, one array entry per column.
+
+    A failed column reports NaN.
+    """
     fid = np.abs(np.sum(cols.initial.conj() * cols.final, axis=0)) ** 2
-    batch = report_from_moments(column_moments(cols.final), fid)
-    return [SqueezingReport(*values) for values in zip(*(field.tolist() for field in vars(batch).values()))]
+    return report_from_moments(column_moments(cols.final), fid)
 
 
 def point_report(params: ExperimentParams, backend: str = "oracle") -> SqueezingReport:
@@ -79,7 +81,8 @@ def point_report(params: ExperimentParams, backend: str = "oracle") -> Squeezing
     give no fidelity, reported as NaN).
     """
     if backend == "oracle":
-        return column_reports(pointer_column(params))[0]
+        batch = column_report(pointer_column(params))
+        return SqueezingReport(*(field.item() for field in vars(batch).values()))
     if backend == "printed":
         return report_from_moments(printed_moments(params), math.nan)
     raise ValueError(f"unknown backend {backend!r}")

@@ -3,24 +3,33 @@
 A sweep walks one scenario parameter (coupling s or amplitude r)
 across a uniform grid for several postselection angles and collects a
 squeezing report per point.  Rows are emitted in a fixed order
-(angle outer, swept parameter inner).  The oracle backend evaluates a
-sweep column by column: blocks of points go through
-:func:`~spacsim.fock.pointer_columns` at once, and a point whose state
-fails the truncation tail check becomes a row error marker while the
-sweep carries on.  Any other error propagates.
+(angle outer, swept parameter inner).
+
+:func:`sweep_columns` is the one evaluation path: it checks the
+points' fields without building a parameter point per row, and keeps
+every report field as one array over the rows.  The oracle backend
+sends consecutive blocks of points through
+:func:`~spacsim.fock.pointer_columns`, and a point whose state fails
+the truncation tail check becomes a row error marker while the sweep
+carries on; any other error propagates.  The printed backend evaluates
+the closed forms over the whole column at once.  :func:`sweep_s`,
+:func:`sweep_r` and :func:`fidelity_table` turn the columns into
+:class:`SweepRow` objects.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import TruncationTooSmall
+from .errors import NonPositiveNorm, TruncationTooSmall
 from .fock import pointer_columns
-from .params import ExperimentParams, validate, weak_value
-from .squeezing import SqueezingReport, column_reports, point_report
+from .params import ExperimentParams, check_fields, validate, weak_value
+from .printed import printed_moment_columns
+from .squeezing import SqueezingReport, column_report, point_report, report_from_moments
 
 #: Default grid step for both sweep kinds; smooth curves at O(N) cost per point.
 DEFAULT_STEP = 0.02
@@ -38,6 +47,8 @@ MAX_GRID_POINTS = 2**16
 
 #: Complex amplitudes per array in one block of sweep columns; a block holds
 #: max(1, BLOCK_ELEMENTS // trunc) points, which bounds memory before allocating.
+#: A point's values depend in the last bits on the block it is built in, so
+#: this partition is part of the output bytes.
 BLOCK_ELEMENTS = 2**15
 
 
@@ -73,30 +84,79 @@ def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, count + 1)
 
 
-def _run_rows(points: list[ExperimentParams], backend: str) -> list[SweepRow]:
-    """Validate every point, then evaluate them all; points share one truncation."""
-    for p in points:
-        validate(p)
-    if backend == "printed":
-        reports = [point_report(p, backend) for p in points]
-        errors = [""] * len(points)
-    elif backend == "oracle":
-        reports, errors = [], []
-        dim = points[0].trunc if points else 1
-        width = max(1, BLOCK_ELEMENTS // dim)
-        for lo in range(0, len(points), width):
-            block = points[lo : lo + width]
-            cols = pointer_columns(
-                [p.alpha for p in block], [p.s for p in block], [weak_value(p.delta, p.phi) for p in block], dim
-            )
-            reports += column_reports(cols)
-            errors += [f"{TruncationTooSmall.__name__}: {e}" if e else "" for e in cols.errors]
-    else:
+@dataclass(frozen=True)
+class SweepColumns:
+    """One sweep as columns: entry j of every array belongs to row j.
+
+    ``report`` holds one array per :class:`SqueezingReport` field.
+    ``errors[j]`` is empty, or says why row j's state failed the
+    truncation tail check; its report is then NaN.
+    """
+
+    phi: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    report: SqueezingReport
+    errors: tuple[str, ...]
+
+    def rows(self) -> list[SweepRow]:
+        reports = zip(*(field.tolist() for field in vars(self.report).values()))
+        return [
+            SweepRow(phi=phi, r=r, s=s, report=SqueezingReport(*values), error=error)
+            for phi, r, s, values, error in zip(self.phi.tolist(), self.r.tolist(), self.s.tolist(), reports, self.errors)
+        ]
+
+
+def sweep_columns(
+    base: ExperimentParams, swept: str, values, phis: tuple[float, ...], backend: str = "oracle"
+) -> SweepColumns:
+    """Sweep field ``swept`` ("r" or "s") of ``base`` over ``values`` for each angle in ``phis``.
+
+    Rows run angle outer, swept value inner; every other field comes
+    from ``base``.  Raises what :func:`validate` raises for the first
+    invalid point in row order.  Both swept fields need only be finite
+    and >= 0, so each angle is checked with the smallest value and the
+    largest value is checked once; for an ascending grid the smallest is
+    the first.
+    """
+    if swept not in ("r", "s"):
+        raise ValueError(f"cannot sweep {swept!r}; sweep 'r' or 's'")
+    validate(base)
+    values = np.asarray(values, dtype=np.float64)
+    phis = np.asarray(phis, dtype=np.float64)
+    lo, hi = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
+    for phi in phis.tolist():
+        check_fields(phi=phi, **{swept: lo})
+    check_fields(**{swept: hi})
+    if backend not in ("oracle", "printed"):
         raise ValueError(f"unknown backend {backend!r}")
-    return [
-        SweepRow(phi=p.phi, r=p.r, s=p.s, report=report, error=error)
-        for p, report, error in zip(points, reports, errors)
-    ]
+
+    n = phis.size * values.size
+    phi = np.repeat(phis, values.size)
+    r = np.tile(values, phis.size) if swept == "r" else np.full(n, float(base.r))
+    s = np.tile(values, phis.size) if swept == "s" else np.full(n, float(base.s))
+    alpha = r * cmath.exp(1j * base.theta)  # as ExperimentParams.alpha, bit for bit
+    w = np.repeat(np.array([weak_value(base.delta, angle) for angle in phis.tolist()], dtype=np.complex128), values.size)
+    errors = [""] * n
+    if backend == "oracle":
+        report = SqueezingReport(*(np.empty(n) for _ in fields(SqueezingReport)))
+        width = max(1, BLOCK_ELEMENTS // base.trunc)
+        for start in range(0, n, width):
+            block = slice(start, start + width)
+            cols = pointer_columns(alpha[block], s[block], w[block], base.trunc)
+            for name, column in vars(column_report(cols)).items():
+                getattr(report, name)[block] = column
+            errors[block] = [f"{TruncationTooSmall.__name__}: {e}" if e else "" for e in cols.errors]
+    else:
+        try:
+            with np.errstate(over="raise"):
+                report = report_from_moments(printed_moment_columns(alpha, s, w), np.full(n, math.nan))
+        except (ArithmeticError, NonPositiveNorm):
+            # row by row, the scalar closed forms raise for the first failing point and name it
+            swept_values = (r if swept == "r" else s).tolist()
+            reports = [point_report(base.with_(phi=a, **{swept: v}), "printed") for a, v in zip(phi.tolist(), swept_values)]
+            report = SqueezingReport(*map(np.array, zip(*(vars(one).values() for one in reports))))
+    return SweepColumns(phi=phi, r=r, s=s, report=report, errors=tuple(errors))
 
 
 def sweep_s(
@@ -113,10 +173,7 @@ def sweep_s(
     operations.
     """
     validate(base)
-    lo, hi, step = s_range
-    values = grid_values(lo, hi, step)
-    points = [base.with_(phi=phi, s=float(s)) for phi in phis for s in values]
-    return _run_rows(points, backend)
+    return sweep_columns(base, "s", grid_values(*s_range), phis, backend).rows()
 
 
 def sweep_r(
@@ -127,10 +184,14 @@ def sweep_r(
 ) -> list[SweepRow]:
     """Sweep the coherent amplitude at fixed coupling, one curve per angle."""
     validate(base)
-    lo, hi, step = r_range
-    values = grid_values(lo, hi, step)
-    points = [base.with_(phi=phi, r=float(r)) for phi in phis for r in values]
-    return _run_rows(points, backend)
+    return sweep_columns(base, "r", grid_values(*r_range), phis, backend).rows()
+
+
+def fidelity_columns(
+    base: ExperimentParams, couplings: tuple[float, ...], r_values, backend: str = "oracle"
+) -> list[SweepColumns]:
+    """One amplitude sweep per coupling, at the angle of ``base``, in coupling order."""
+    return [sweep_columns(base.with_(s=s), "r", r_values, (base.phi,), backend) for s in couplings]
 
 
 def fidelity_table(
@@ -146,7 +207,5 @@ def fidelity_table(
     """
     validate(base)
     values = grid_values(*r_range)
-    table = {}
-    for s in couplings:
-        table[s] = sweep_r(base.with_(s=s), (base.phi,), r_range, backend)
-    return values, table
+    sweeps = fidelity_columns(base, couplings, values, backend)
+    return values, {s: sweep.rows() for s, sweep in zip(couplings, sweeps)}

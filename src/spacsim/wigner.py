@@ -90,7 +90,15 @@ def required_dim(state: FockVector, beta_max: float) -> int:
 
 
 def _parity_values(state: FockVector, betas: np.ndarray) -> np.ndarray:
-    """(2/pi) <parity> of D(beta)|state> for a flat array of betas."""
+    """(2/pi) <parity> of D(beta)|state> for a flat array of betas.
+
+    A point's value depends in the last bits on the batch it is evaluated
+    in, so ``wigner_values(state, zs)[i]`` and ``wigner_point(state, zs[i])``
+    agree to about 1e-15, not bit for bit.  The state is padded to the
+    dimension that the batch's largest |beta| needs, and even at one
+    dimension the batched matrix product over a chunk of columns
+    accumulates in another order than the product with a single column.
+    """
     if not np.all(np.isfinite(betas)):
         raise ValueError("phase-space points must be finite")
     work = pad(state, required_dim(state, float(np.max(np.abs(betas))) if betas.size else 0.0))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from spacsim.fock import final_pointer_state
 from spacsim.io import WignerGrid, csv_round_trips, load_manifest, read_csv, write_csv
 from spacsim.params import FIGURE_PRESET, MAX_TRUNC
 from spacsim.printed import printed_wigner_values
-from spacsim.sweeps import DEFAULT_PHIS, grid_values
+from spacsim.sweeps import DEFAULT_PHIS, FIDELITY_COUPLINGS, fidelity_table, grid_values, sweep_r, sweep_s
 from spacsim.wigner import wigner_grid_values
 
 PRESET_PHI = repr(7 * math.pi / 9)
@@ -294,6 +295,69 @@ class TestColumnarOutput:
         grid = WignerGrid(x_min=-2.0, x_max=2.0, p_min=-1.5, p_max=1.0, step=0.25, values=values)
         write_csv(ref, ["x", "p", "w"], grid.rows())
         assert out.read_bytes() == ref.read_bytes()
+
+
+_REPORT_FIELDS = ("s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity_to_initial")
+_DRAWN = random.Random(2021)
+_DRAWN_ANGLES = (_DRAWN.uniform(0, 2 * math.pi), _DRAWN.uniform(0, 2 * math.pi))
+
+
+def _row_api_csv(command: str, base, path) -> None:
+    """What a sweep command writes at its default ranges, built from the row API cell by cell."""
+    if command == "fig3":
+        rvals, table = fidelity_table(base)
+        header = ["r"] + [f"fidelity_s{s!r}" for s in FIDELITY_COUPLINGS]
+        rows = [[r] + [table[s][i].report.fidelity_to_initial for s in FIDELITY_COUPLINGS] for i, r in enumerate(rvals.tolist())]
+    else:
+        swept = "s" if command in ("fig1a", "fig2a") else "r"
+        header = ["phi", swept, "s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity"]
+        sweep = sweep_s(base) if swept == "s" else sweep_r(base)
+        rows = [[row.phi, getattr(row, swept)] + [getattr(row.report, name) for name in _REPORT_FIELDS] for row in sweep]
+    write_csv(path, header, rows)
+
+
+class TestColumnarSweeps:
+    @pytest.mark.parametrize("angles", [None, _DRAWN_ANGLES], ids=["preset", "drawn"])
+    @pytest.mark.parametrize("command", ["fig1a", "fig1b", "fig2a", "fig2b", "fig3"])
+    def test_csv_matches_the_row_api(self, command, angles, tmp_path):
+        out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        base = FIGURE_PRESET
+        argv = [command, "--out", str(out)]
+        if angles:
+            base = FIGURE_PRESET.with_(theta=angles[0], delta=angles[1])
+            argv += ["--theta", repr(angles[0]), "--delta", repr(angles[1])]
+        assert run(*argv) == 0
+        _row_api_csv(command, base, ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (
+                ["fig1b", "--backend", "printed", "--r-max", "1e200", "--r-step", "1e198"],
+                3,
+                "spacsim: numerical failure: printed_kappa_sq: the printed expression overflows a double at "
+                "ExperimentParams(r=1e+198, theta=0.7853981633974483, delta=0.5235987755982988, "
+                "phi=1.0471975511965976, s=0.5, trunc=128): (34, 'Numerical result out of range')",
+            ),
+            (["fig1a", "--s-min", "-1"], 2, "spacsim: invalid arguments: s: coupling ratio must be >= 0, got -1.0"),
+            (
+                ["fig1b", "--trunc", "8"],
+                3,
+                "spacsim: numerical failure: row phi=1.0471975511965976 r=0.0 s=0.5 failed: TruncationTooSmall: "
+                "displace(0.25): tail share 1.511e-04 of the norm in the top 4 of 8 levels exceeds 1e-10; "
+                "increase the truncation dimension",
+            ),
+            (["fig1b", "--phis", "1,nan", "--r-min", "-1"], 2, "spacsim: invalid arguments: phi: polar angle must be >= 0, got nan"),
+            (["fig3", "--s-values", "0.5,-1"], 2, "spacsim: invalid arguments: s: coupling ratio must be >= 0, got -1.0"),
+        ],
+        ids=["printed-overflow-part-way", "negative-swept-value", "truncation-too-small", "bad-angle-before-range", "bad-coupling"],
+    )
+    def test_failures_name_the_first_failing_row(self, argv, code, message, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run(*argv, "--out", str(out)) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRerunErrors:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spacsim import fock
 from spacsim.errors import DimensionMismatch, TruncationTooSmall
 from spacsim.fock import (
     FockVector,
@@ -29,6 +30,11 @@ class TestCoherent:
         state = coherent(0.0, 32)
         assert state.amps[0] == 1.0
         assert np.all(state.amps[1:] == 0)
+
+    def test_log_factorials_are_cached_read_only(self):
+        column = fock._half_log_factorials(40)
+        assert fock._half_log_factorials(40) is column and not column.flags.writeable
+        assert column[:, 0].tolist() == [math.lgamma(n + 1.0) / 2 for n in range(40)]
 
     def test_ground_coefficient(self):
         state = coherent(1.0, 64)

@@ -6,15 +6,18 @@ one, and the known constant-factor anomalies are asserted as ratios so
 any silent "fix" of the transcription shows up as a failure.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from spacsim.errors import NumericalOverflow
 from spacsim.fock import final_pointer_state, moments, oracle_kappa_sq, spacs
-from spacsim.params import FIGURE_PRESET, ExperimentParams
+from spacsim.params import FIGURE_PRESET, ExperimentParams, weak_value
 from spacsim.printed import (
     printed_kappa_sq,
+    printed_moment_columns,
     printed_moments,
     printed_wigner,
     printed_wigner_values,
@@ -95,6 +98,29 @@ class TestPrintedMoments:
         assert t3(alpha, 0.0) == pytest.approx(
             g2 * (abs(alpha) ** 4 + 3 * abs(alpha) ** 2 + 1), abs=1e-12
         )
+
+
+class TestPrintedMomentColumns:
+    FIELDS = ("m_a", "m_a2", "m_a4", "n_mean", "m_a2d2", "kappa_sq")
+
+    @pytest.mark.parametrize("theta, delta", [(math.pi / 4, math.pi / 6), (2.5, 0.3), (5.9, 1.1), (4.275, 2.687)])
+    @pytest.mark.parametrize("swept, values", [("s", np.linspace(0.0, 4.0, 201)), ("r", np.linspace(0.0, 3.0, 151))])
+    def test_matches_scalar_on_figure_grids(self, theta, delta, swept, values):
+        # the fig1a and fig1b grids, from s = 0 and r = 0, at every figure angle
+        base = FIGURE_PRESET.with_(theta=theta, delta=delta)
+        r = values if swept == "r" else np.full(values.size, base.r)
+        s = values if swept == "s" else np.full(values.size, base.s)
+        for phi in (math.pi / 3, math.pi / 2, 2 * math.pi / 3, 7 * math.pi / 9):
+            columns = printed_moment_columns(r * cmath.exp(1j * theta), s, weak_value(delta, phi))
+            for j, value in enumerate(values.tolist()):
+                ref = printed_moments(base.with_(phi=phi, **{swept: value}))
+                for name in self.FIELDS:
+                    want = getattr(ref, name)
+                    assert abs(getattr(columns, name)[j] - want) <= 1e-13 * max(1.0, abs(want)), (phi, value, name)
+
+    def test_overflow_is_numerical(self):
+        with pytest.raises(NumericalOverflow, match="overflows a double"):
+            printed_moment_columns(np.array([1.0, 1e200]), 0.5, weak_value(0.5, 1.0))
 
 
 class TestPrintedWigner:

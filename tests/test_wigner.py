@@ -62,6 +62,15 @@ class TestDisplacedParity:
         assert required_dim(state, 0.5) == 128
         assert required_dim(state, 8.5) > 128
 
+    def test_batch_and_single_points_agree(self):
+        # not bit for bit: the batch pads to its largest |z| and multiplies a chunk of columns at once
+        rng = np.random.default_rng(50)
+        state = final_pointer_state(FIGURE_PRESET.with_(r=2.0, s=2.0))
+        zs = rng.uniform(-4, 4, 50) + 1j * rng.uniform(-4, 4, 50)
+        batch = wigner_values(state, zs)
+        single = np.array([wigner_point(state, z) for z in zs])
+        assert np.max(np.abs(batch - single)) <= 1e-14
+
     def test_workers_do_not_change_values(self):
         state = final_pointer_state(FIGURE_PRESET)
         zs = np.linspace(-2, 2, 40) + 1j * np.linspace(-1, 1, 40)

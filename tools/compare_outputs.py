@@ -14,8 +14,11 @@ only.
 The invocations are the benchmark's (``bench/run.py`` at seed 0, so at
 the preset angles), then ``fig2b``, the printed far-field Wigner panel,
 an audit subset at other angles, ``rerun`` of the first manifest, a
-sweep and a Wigner grid with ``--workers`` above 1, the help and
-version texts, and three printed-backend overflows.
+sweep and a Wigner grid with ``--workers`` above 1, printed-backend
+sweeps of every kind and an oracle sweep at other angles, the help and
+version texts, three printed-backend overflows, an overflow part way
+along a printed sweep, a negative swept value and a truncation too
+small for some rows.
 """
 
 from __future__ import annotations
@@ -49,8 +52,15 @@ def cases() -> list[tuple[list[str], bool]]:
         ["rerun", "out0.csv.manifest"],
         ["fig1a", "--workers", "4"],
         ["wigner", "--grid-step", "0.1", "--workers", "3"],
+        ["fig1a", "--backend", "printed"],
+        ["fig3", "--backend", "printed"],
+        ["fig2b", "--backend", "printed", "--theta", "2.5"],
+        ["fig1b", "--theta", "5.9", "--delta", "1.1"],
         ["fig1b", "--backend", "printed", "--s", "1e200", "--r-max", "0"],
         ["wigner", "--backend", "printed", "--s", "1e200"],
+        ["fig1b", "--backend", "printed", "--r-max", "1e200", "--r-step", "1e198"],
+        ["fig1a", "--s-min", "-1"],
+        ["fig1b", "--trunc", "8"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed", "--s", "1e200"])
