@@ -47,8 +47,9 @@ MAX_GRID_POINTS = 2**16
 
 #: Complex amplitudes per array in one block of sweep columns; a block holds
 #: max(1, BLOCK_ELEMENTS // trunc) points, which bounds memory before allocating.
-#: A point's values depend in the last bits on the block it is built in, so
-#: this partition is part of the output bytes.
+#: A point built in a block of its own differs in the last bits from one built
+#: with others (numpy reduces a single column in another order), so this
+#: partition is part of the output bytes.
 BLOCK_ELEMENTS = 2**15
 
 

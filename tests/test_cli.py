@@ -14,10 +14,11 @@ import pytest
 
 import spacsim
 from spacsim.cli import build_parser, main
-from spacsim.fock import final_pointer_state
+from spacsim.errors import SpacsimError
+from spacsim.fock import final_pointer_state, pointer_column
 from spacsim.io import WignerGrid, csv_round_trips, load_manifest, read_csv, write_csv
 from spacsim.params import FIGURE_PRESET, MAX_TRUNC
-from spacsim.printed import printed_wigner_values
+from spacsim.printed import printed_moments, printed_wigner_values
 from spacsim.sweeps import DEFAULT_PHIS, FIDELITY_COUPLINGS, fidelity_table, grid_values, sweep_r, sweep_s
 from spacsim.wigner import wigner_grid_values
 
@@ -330,33 +331,43 @@ class TestColumnarSweeps:
         _row_api_csv(command, base, ref)
         assert out.read_bytes() == ref.read_bytes()
 
-    @pytest.mark.parametrize(
-        "argv, code, message",
-        [
-            (
-                ["fig1b", "--backend", "printed", "--r-max", "1e200", "--r-step", "1e198"],
-                3,
-                "spacsim: numerical failure: printed_kappa_sq: the printed expression overflows a double at "
-                "ExperimentParams(r=1e+198, theta=0.7853981633974483, delta=0.5235987755982988, "
-                "phi=1.0471975511965976, s=0.5, trunc=128): (34, 'Numerical result out of range')",
-            ),
-            (["fig1a", "--s-min", "-1"], 2, "spacsim: invalid arguments: s: coupling ratio must be >= 0, got -1.0"),
-            (
-                ["fig1b", "--trunc", "8"],
-                3,
-                "spacsim: numerical failure: row phi=1.0471975511965976 r=0.0 s=0.5 failed: TruncationTooSmall: "
-                "displace(0.25): tail share 1.511e-04 of the norm in the top 4 of 8 levels exceeds 1e-10; "
-                "increase the truncation dimension",
-            ),
-            (["fig1b", "--phis", "1,nan", "--r-min", "-1"], 2, "spacsim: invalid arguments: phi: polar angle must be >= 0, got nan"),
-            (["fig3", "--s-values", "0.5,-1"], 2, "spacsim: invalid arguments: s: coupling ratio must be >= 0, got -1.0"),
-        ],
-        ids=["printed-overflow-part-way", "negative-swept-value", "truncation-too-small", "bad-angle-before-range", "bad-coupling"],
-    )
-    def test_failures_name_the_first_failing_row(self, argv, code, message, tmp_path, capsys):
+    @staticmethod
+    def point_failure(call, params) -> str:
+        """The message of the error that one point's scalar route raises."""
+        with pytest.raises(SpacsimError) as failure:
+            call(params)
+        return str(failure.value)
+
+    def test_printed_overflow_part_way_names_the_first_failing_point(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
-        assert run(*argv, "--out", str(out)) == code
-        assert capsys.readouterr().err == message + "\n"
+        assert run("fig1b", "--backend", "printed", "--r-max", "1e200", "--r-step", "1e198", "--out", str(out)) == 3
+        first = FIGURE_PRESET.with_(r=1e198, phi=DEFAULT_PHIS[0])
+        assert capsys.readouterr().err == f"spacsim: numerical failure: {self.point_failure(printed_moments, first)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_truncation_failure_names_the_first_failing_row(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run("fig1b", "--trunc", "8", "--out", str(out)) == 3
+        first = FIGURE_PRESET.with_(r=0.0, phi=DEFAULT_PHIS[0], trunc=8)
+        reason = self.point_failure(pointer_column, first)
+        assert capsys.readouterr().err == (
+            f"spacsim: numerical failure: row phi={first.phi} r=0.0 s=0.5 failed: TruncationTooSmall: {reason}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig1a", "--s-min", "-1"], "s: coupling ratio must be >= 0, got -1.0"),
+            (["fig1b", "--phis", "1,nan", "--r-min", "-1"], "phi: polar angle must be >= 0, got nan"),
+            (["fig3", "--s-values", "0.5,-1"], "s: coupling ratio must be >= 0, got -1.0"),
+        ],
+        ids=["negative-swept-value", "bad-angle-before-range", "bad-coupling"],
+    )
+    def test_invalid_input_names_the_first_invalid_field(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"spacsim: invalid arguments: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
 
