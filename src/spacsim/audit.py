@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import column_state, moments, pointer_column
-from .io import fmt_tiled
 from .params import FIGURE_PRESET, ExperimentParams, validate
 from .printed import printed_kappa_sq, printed_moments, printed_wigner_values
 from .wigner import check_grid_elements, wigner_grid_values
@@ -79,8 +78,6 @@ class QuantityColumns:
 
     ``echo`` holds one array per name in :data:`ECHOED`; ``x`` and
     ``p`` are the phase-space coordinates, NaN for non-Wigner points.
-    ``axis`` holds the values that ``p`` tiles: the Wigner grid axis, or
-    a single NaN.
     """
 
     quantity: str
@@ -92,7 +89,6 @@ class QuantityColumns:
     raw_residual: np.ndarray
     scale: float
     scaled_residual: np.ndarray
-    axis: np.ndarray
 
     def summary(self) -> QuantitySummary:
         # Python's max, not np.max: a NaN residual after the first point does not hide the worst finite one
@@ -136,7 +132,7 @@ def _residual(printed: np.ndarray, oracle_re: np.ndarray, oracle_im: np.ndarray)
 
 
 def _fitted(
-    quantity: str, echo: dict[str, np.ndarray], x: np.ndarray, p: np.ndarray, axis: np.ndarray, oracle, printed
+    quantity: str, echo: dict[str, np.ndarray], x: np.ndarray, p: np.ndarray, oracle, printed
 ) -> QuantityColumns:
     """Fit the scale of one quantity and compute both residuals as array operations."""
     oracle = np.asarray(oracle, dtype=np.complex128)
@@ -152,7 +148,6 @@ def _fitted(
         raw_residual=_residual(printed, oracle.real, oracle.imag),
         scale=scale,
         scaled_residual=_residual(printed, scale * oracle.real, scale * oracle.imag),
-        axis=axis,
     )
 
 
@@ -213,28 +208,22 @@ def audit_columns(
             owner = np.repeat(np.arange(len(grid)), n * n)  # grid index of each point
             x, p = np.tile(np.repeat(axis, n), len(grid)), np.tile(axis, n * len(grid))
             oracle, printed = np.concatenate(oracle), np.concatenate(printed)
-            out.append(_fitted(q, {k: v[owner] for k, v in echo.items()}, x, p, axis, oracle, printed))
+            out.append(_fitted(q, {k: v[owner] for k, v in echo.items()}, x, p, oracle, printed))
         else:
-            out.append(_fitted(q, echo, nan, nan, nan[:1], oracle, printed))
+            out.append(_fitted(q, echo, nan, nan, oracle, printed))
     return out
 
 
 def csv_columns(columns: list[QuantityColumns]) -> list:
-    """The columns of the audit CSV (see :data:`CSV_HEADER`), quantity after quantity.
-
-    Each quantity's p column is its axis, formatted once and tiled.
-    """
+    """The columns of the audit CSV (see :data:`CSV_HEADER`), quantity after quantity."""
     labels = [c.quantity for c in columns for _ in range(c.oracle.size)]
-    p = [cell for c in columns for cell in fmt_tiled(c.axis, c.p.size // c.axis.size)]
     parts = [
         [c.echo[name] for name in ECHOED]
-        + [c.x, c.oracle.real, c.oracle.imag, c.printed.real, c.printed.imag]
+        + [c.x, c.p, c.oracle.real, c.oracle.imag, c.printed.real, c.printed.imag]
         + [c.raw_residual, np.full(c.oracle.size, c.scale), c.scaled_residual]
         for c in columns
     ]
-    floats = [np.concatenate(part) for part in zip(*parts)]
-    before_p = len(ECHOED) + 1
-    return [labels, *floats[:before_p], p, *floats[before_p:]]
+    return [labels, *(np.concatenate(part) for part in zip(*parts))]
 
 
 def compare(

@@ -322,7 +322,14 @@ def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
     )
     if dim < 3:
         raise ValueError(f"photon-added state needs dim >= 3, got {dim}")
-    initial, initial_share, _ = _normalised(_raised(_coherent_columns(alphas, dim)))
+    # A coupling sweep repeats one alpha across the block: build each distinct
+    # coherent column once (on the bits, so -0.0 stays apart from 0.0) and
+    # copy it out.  The reductions below still see the full block in C order:
+    # an F-ordered block sums along axis 0 in another order and changes bits.
+    bits = np.ascontiguousarray(alphas).view(np.int64).reshape(-1, 2)
+    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    coherent_block = _coherent_columns(alphas[first], dim).take(inverse.reshape(-1), axis=1)
+    initial, initial_share, _ = _normalised(_raised(coherent_block))
     branches = []
     for beta in (s / 2, -s / 2):  # real, so beta* = beta
         shifted = _coherent_columns(alphas + beta, dim)

@@ -7,15 +7,21 @@ accompanied by a ``<out>.manifest`` JSON sidecar carrying the fully
 resolved run configuration, so any output can be reproduced
 byte-identically from its sidecar alone.
 
-Every CSV goes through :func:`write_columns`, which formats a whole
-column at a time with :func:`fmt_column`: one ``repr`` per run of
-bit-identical consecutive floats (echoed parameters, a grid's x axis,
-fitted scales, exact zeros), or one per float where runs are short.
-Text columns pass through unchanged: labels, and axes that repeat as a
-whole rather than value by value (the p axis of a Wigner grid), which
-:func:`fmt_tiled` formats once and tiles.  :func:`write_csv` takes rows
-and is a thin wrapper around it, so there is one formatting path, and
-the bytes are those of :func:`fmt` applied cell by cell.
+Every CSV goes through :func:`write_columns`, and every float through
+one numpy kernel (:mod:`spacsim._shortest`) whose text is byte for byte
+``repr``; there is no second formatting path.  Rows are formatted and
+written in slices of :data:`SLICE_ROWS`, so memory stays bounded for
+any table.  Within a slice each float column's distinct bit patterns
+are formatted once (runs of a repeated value, such as a grid's x axis
+or an echoed parameter, and repeated axes, such as its p axis), with
+one kernel call for all float columns.  The slice is laid out as one
+NUL-padded byte matrix, texts and separators together, and its non-NUL
+bytes are the file bytes, so no Python string is made per cell.  Label
+columns (lists of strings) are written as they are.  :func:`write_csv`
+takes rows and is a thin wrapper around :func:`write_columns`.
+:func:`fmt` is ``repr`` of one value (for manifests and command lines),
+and :func:`fmt_column` and :func:`fmt_tiled` return the kernel's text
+as Python strings.
 """
 
 from __future__ import annotations
@@ -24,39 +30,47 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+from ._shortest import decimals, segments
 from .sweeps import grid_values
 
 WIGNER_BOUND = 2.0 / math.pi
 WIGNER_BOUND_SLACK = 1e-9
 
+#: Rows formatted and written per step; bounds the working memory of a CSV.
+SLICE_ROWS = 1 << 14
 
-def fmt(value: float) -> str:
-    """Shortest decimal that round-trips to the same double."""
-    return repr(float(value))
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of a float column and each value's index among them.
+
+    Runs of bit-identical consecutive values are collapsed first, then
+    the run heads are made unique on their bits, so -0.0 and 0.0 and
+    differently signed NaNs stay apart.
+    """
+    bits = values.view(np.int64)
+    heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    patterns, index = np.unique(bits[heads], return_inverse=True)
+    return patterns.view(np.float64), np.repeat(index, np.diff(heads, append=bits.size))
 
 
 def fmt_column(values) -> list[str]:
-    """:func:`fmt` of every value of an array-like, in row-major order.
+    """:func:`fmt` of every value of an array-like, in row-major order: a one-column CSV body, split."""
+    lines = b"".join(_rows([np.asarray(values, dtype=float).reshape(-1)]))
+    return lines.decode("ascii").split("\n")[:-1]
 
-    Each run of bit-identical consecutive values is formatted once.  Runs
-    are found on the bits, not by float equality or ``np.unique``, which
-    would merge -0.0 with 0.0; a column with more runs than half its
-    length is formatted value by value.
-    """
-    flat = np.asarray(values, dtype=float).ravel()
-    bits = flat.view(np.int64)
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if 2 * (starts.size + 1) > flat.size:
-        return list(map(repr, flat.tolist()))
-    starts = np.concatenate(([0], starts))
-    cells = np.array(list(map(repr, flat[starts].tolist())), dtype=object)
-    return np.repeat(cells, np.diff(starts, append=flat.size)).tolist()
+
+def fmt(value: float) -> str:
+    """Shortest decimal that round-trips to the same double: ``repr``, which the kernel reproduces."""
+    return repr(float(value))
 
 
 def fmt_tiled(axis, reps: int) -> list[str]:
@@ -64,16 +78,62 @@ def fmt_tiled(axis, reps: int) -> list[str]:
     return fmt_column(axis) * reps
 
 
-def _column_cells(column) -> list[str]:
-    if isinstance(column, list) and column and isinstance(column[0], str):
-        return column
-    return fmt_column(column)
+def _is_labels(column) -> bool:
+    return isinstance(column, list) and bool(column) and isinstance(column[0], str)
 
 
-def _csv_text(header: list[str], columns: list) -> str:
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*(_column_cells(column) for column in columns))))
-    return "\n".join(lines) + "\n"
+def _label_glyphs(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct labels as NUL-padded UTF-8 rows, and each row's index among them."""
+    names = list(dict.fromkeys(column))
+    position = {name: i for i, name in enumerate(names)}
+    index = np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
+    encoded = np.array([name.encode("utf-8") for name in names])
+    return encoded.view(np.uint8).reshape(len(names), -1), index
+
+
+def _slice_bytes(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The CSV lines of one slice: ``parts`` holds each column's (NUL-padded texts, row index)."""
+    rows = parts[0][1].size
+    widths = [texts.shape[1] for texts, _ in parts]
+    matrix = np.empty((rows, sum(widths) + len(parts)), dtype=np.uint8)
+    at = 0
+    for (texts, index), width in zip(parts, widths):
+        matrix[:, at : at + width] = texts.take(index, axis=0)
+        matrix[:, at + width] = _COMMA
+        at += width + 1
+    matrix[:, -1] = _NEWLINE
+    return matrix[matrix != 0]
+
+
+def _trimmed(texts: np.ndarray) -> np.ndarray:
+    """``texts`` without the segment columns that are NUL in every row."""
+    used = (texts != 0).any(axis=0)
+    return texts if used.all() else texts[:, used]
+
+
+def _csv_chunks(header: list[str], columns: list) -> Iterator[bytes | np.ndarray]:
+    """The bytes of a CSV: the header line, then the rows."""
+    yield (",".join(header) + "\n").encode("utf-8")
+    yield from _rows(columns)
+
+
+def _rows(columns: list) -> Iterator[np.ndarray]:
+    """The CSV lines of the columns' rows, one array of bytes per slice of rows."""
+    cells = [_label_glyphs(c) if _is_labels(c) else np.asarray(c, dtype=float).reshape(-1) for c in columns]
+    rows = min((len(c[1]) if isinstance(c, tuple) else c.size for c in cells), default=0)
+    for start in range(0, rows, SLICE_ROWS):
+        stop = min(start + SLICE_ROWS, rows)
+        floats = [_distinct(c[start:stop]) for c in cells if not isinstance(c, tuple)]
+        texts = segments(decimals(np.concatenate([patterns for patterns, _ in floats]))) if floats else None
+        at, parts, next_float = 0, [], iter(floats)
+        for c in cells:
+            if isinstance(c, tuple):
+                parts.append((c[0], c[1][start:stop]))
+            else:
+                patterns, index = next(next_float)
+                parts.append((_trimmed(texts[at : at + patterns.size]), index))
+                at += patterns.size
+        yield _slice_bytes(parts)
 
 
 def _transposed(rows: list[list]) -> list[list]:
@@ -87,7 +147,7 @@ def write_columns(path: str | Path, header: list[str], columns: list) -> None:
     of strings (plain labels, no commas, or numbers already formatted)
     written as they are.  Every column has one entry per row.
     """
-    _atomic_write(Path(path), _csv_text(header, columns))
+    _atomic_write(Path(path), _csv_chunks(header, columns))
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[float | str]]) -> None:
@@ -118,15 +178,16 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[float | str]]]:
 def csv_round_trips(path: str | Path) -> bool:
     """True when parse-then-reserialise reproduces the file bytes."""
     header, rows = read_csv(path)
-    return Path(path).read_bytes() == _csv_text(header, _transposed(rows)).encode("utf-8")
+    return Path(path).read_bytes() == b"".join(_csv_chunks(header, _transposed(rows)))
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[bytes | np.ndarray]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -171,7 +232,7 @@ class WignerGrid:
     def columns(self) -> list:
         """The x, p and value columns for :func:`write_columns`, p varying fastest."""
         xs, ps = self.axes()
-        return [np.repeat(xs, ps.size), fmt_tiled(ps, xs.size), self.values]
+        return [np.repeat(xs, ps.size), np.tile(ps, xs.size), self.values]
 
     def rows(self) -> list[list[float]]:
         xs, ps = self.axes()
@@ -200,7 +261,7 @@ def write_manifest(
     }
     if summary is not None:
         payload["summary"] = summary
-    _atomic_write(manifest_path(out_path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(manifest_path(out_path), [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def load_manifest(path: str | Path) -> dict:

@@ -259,6 +259,17 @@ class TestPointerColumns:
         assert np.all(np.isfinite(cols.final[:, 0]))
         assert np.all(np.isnan(cols.final[:, 1:])) and np.all(np.isnan(cols.initial[:, 1:]))
 
+    def test_repeated_alphas_give_the_bits_of_a_column_per_point(self):
+        # a coupling sweep builds each distinct coherent column once; the bits
+        # must equal those of one coherent column per point, -0.0 kept apart
+        alphas = np.random.default_rng(4).uniform(0, 3, 12) * np.exp(0.7j)
+        alphas[:6] = alphas[0]
+        alphas[6:8] = [complex(0.0, -0.0), 0.0]
+        s = np.linspace(0.0, 3.0, alphas.size)
+        cols = pointer_columns(alphas, s, 0.3 + 1.1j, 64)
+        initial, _, _ = fock._normalised(fock._raised(fock._coherent_columns(alphas, 64)))
+        assert np.ascontiguousarray(cols.initial).tobytes() == np.ascontiguousarray(initial).tobytes()
+
     def test_single_point_uses_the_same_columns(self):
         p = FIGURE_PRESET.with_(s=1.3)
         cols = pointer_columns(p.alpha, p.s, weak_value(p.delta, p.phi), p.trunc)

@@ -2,14 +2,19 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spacsim import io
 from spacsim.io import (
     WignerGrid,
     csv_round_trips,
     fmt,
+    fmt_column,
     fmt_tiled,
     load_manifest,
     manifest_argv,
@@ -189,3 +194,71 @@ class TestRunCompression:
         axis = np.array([-0.5, -0.0, 0.0, 0.5])
         assert fmt_tiled(axis, 3) == [fmt(v) for v in np.tile(axis, 3)]
         assert fmt_tiled(axis, 0) == []
+
+
+def repr_mismatches(values) -> list[tuple[float, str]]:
+    """(value, kernel text) wherever the vectorised kernel differs from ``repr``."""
+    values = np.asarray(values, dtype=float).ravel()
+    return [(v, text) for v, text in zip(values.tolist(), fmt_column(values)) if text != repr(v)]
+
+
+class TestKernelAgainstRepr:
+    """The numpy kernel writes exactly the bytes of ``repr``; no value may differ."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2018).integers(0, 2**64, size=2**18, dtype=np.uint64)
+        assert repr_mismatches(bits.view(np.float64)) == []
+
+    def test_powers_and_their_neighbours(self):
+        powers = np.array([2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)])
+        around = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        assert repr_mismatches(np.concatenate([around, -around])) == []
+
+    def test_extremes_and_layout_edges(self):
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        values = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+        values += [0.0, -0.0, math.inf, -math.inf, *nans.view(np.float64)]
+        values += [1e16, np.nextafter(1e16, 0.0), 1e-4, 1e-5, 0.0001, np.nextafter(1e-4, 0.0), 123456789012345678.0]
+        values += [2.0**53 + k for k in range(-4, 5)] + [0.1 * k for k in range(-40, 41)] + list(range(-1000, 1001))
+        assert repr_mismatches(values) == []
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        assert repr_mismatches(values) == []
+
+    def test_csv_bytes_across_slices(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "SLICE_ROWS", 7)  # slice edges every 7 rows
+        rng = np.random.default_rng(7)
+        columns = [
+            rng.integers(0, 2**64, size=50, dtype=np.uint64).view(np.float64),
+            np.repeat([0.0, -0.0, math.nan, 1e-5, 2.5], 10),
+            np.tile([0.25, -3.0, 1e22, 5e-324, -math.inf], 10),
+        ]
+        labels = [f"q{i % 3}" for i in range(50)]
+        path = tmp_path / "s.csv"
+        write_columns(path, ["label", "a", "b", "c"], [labels, *columns])
+        lines = ["label,a,b,c"] + [",".join([label, *map(repr, row)]) for label, row in zip(labels, zip(*(c.tolist() for c in columns)))]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_peak_memory_is_bounded_by_the_row_slice(tmp_path):
+    """A 2^20-row, three-column grid CSV stays within a fixed memory bound.
+
+    Rows are formatted and written SLICE_ROWS (2^14) at a time; writing
+    this table peaks at about 11 MB of traced memory (numpy reports its
+    buffers to tracemalloc), and a writer that builds the whole file as
+    Python strings first peaks at about 270 MB.  The bound is 32 MB.
+    """
+    axis = np.linspace(-4.0, 4.0, 1024)
+    columns = [np.repeat(axis, 1024), np.tile(axis, 1024), np.random.default_rng(20).standard_normal(1 << 20)]
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_columns(path, ["x", "p", "w"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 50 * 2**20
+    path.unlink()
+    assert peak < 32 * 2**20

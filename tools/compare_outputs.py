@@ -18,7 +18,10 @@ sweep and a Wigner grid with ``--workers`` above 1, printed-backend
 sweeps of every kind and an oracle sweep at other angles, the help and
 version texts, three printed-backend overflows, an overflow part way
 along a printed sweep, a negative swept value and a truncation too
-small for some rows.
+small for some rows.  The last four cover the rarer layouts of the CSV
+number formatter: a Wigner grid whose axis values have long texts, a
+large-truncation sweep with values above 100, a fine audit grid, and a
+printed coupling sweep whose fidelity column is all ``nan``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ def cases() -> list[tuple[list[str], bool]]:
         ["fig1b", "--backend", "printed", "--r-max", "1e200", "--r-step", "1e198"],
         ["fig1a", "--s-min", "-1"],
         ["fig1b", "--trunc", "8"],
+        ["wigner", "--grid-step", "0.03", "--x-min", "-3.99", "--x-max", "3.99"],
+        ["fig1b", "--r-max", "30", "--trunc", "2048"],
+        ["audit", "--wigner-step", "0.1"],
+        ["fig2a", "--backend", "printed", "--phis", "0.3,2.9"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed", "--s", "1e200"])
