@@ -49,15 +49,21 @@ SLICE_ROWS = 1 << 14
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The distinct bit patterns of a float column and each value's index among them.
 
     Runs of bit-identical consecutive values are collapsed first, then
     the run heads are made unique on their bits, so -0.0 and 0.0 and
-    differently signed NaNs stay apart.
+    differently signed NaNs stay apart.  Where every value is distinct
+    the patterns are the column itself and the index is None.
     """
     bits = values.view(np.int64)
     heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    ordered = np.sort(bits[heads])
+    if np.all(ordered[1:] != ordered[:-1]):  # no value outside its own run repeats
+        if heads.size == bits.size:
+            return values, None
+        return values[heads], np.repeat(np.arange(heads.size), np.diff(heads, append=bits.size))
     patterns, index = np.unique(bits[heads], return_inverse=True)
     return patterns.view(np.float64), np.repeat(index, np.diff(heads, append=bits.size))
 
@@ -91,14 +97,15 @@ def _label_glyphs(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return encoded.view(np.uint8).reshape(len(names), -1), index
 
 
-def _slice_bytes(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The CSV lines of one slice: ``parts`` holds each column's (NUL-padded texts, row index)."""
-    rows = parts[0][1].size
+def _slice_bytes(parts: list[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray:
+    """The CSV lines of one slice: ``parts`` holds each column's (NUL-padded texts, row index or None)."""
+    texts, index = parts[0]
+    rows = texts.shape[0] if index is None else index.size
     widths = [texts.shape[1] for texts, _ in parts]
     matrix = np.empty((rows, sum(widths) + len(parts)), dtype=np.uint8)
     at = 0
     for (texts, index), width in zip(parts, widths):
-        matrix[:, at : at + width] = texts.take(index, axis=0)
+        matrix[:, at : at + width] = texts if index is None else texts.take(index, axis=0)
         matrix[:, at + width] = _COMMA
         at += width + 1
     matrix[:, -1] = _NEWLINE
