@@ -144,7 +144,7 @@ def _decimal(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i = ae - q  # the power of five for e2 < 0
     e10 = np.where(pos, q, q + e2)
     j = np.where(pos, q + _BITCOUNT - 1 + ((q * 1217359) >> 19) + 1 - e2, q - ((i * 1217359) >> 19) - 1 + _BITCOUNT)
-    row = np.where(pos, q, _INV_ROWS + i)
+    row = np.where(pos, q, _INV_ROWS + i).astype(np.intp)
     mul = tuple(limb[row] for limb in _multipliers())
     m = np.empty((3, mv.size), dtype=np.uint64)
     m[0] = mv

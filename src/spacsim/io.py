@@ -113,7 +113,10 @@ def _slice_bytes(parts: list[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarra
 
 
 def _trimmed(texts: np.ndarray) -> np.ndarray:
-    """``texts`` without the segment columns that are NUL in every row."""
+    """``texts`` without the segment columns that are NUL in every row.
+
+    Worth its pass only for texts that are gathered into many rows.
+    """
     used = (texts != 0).any(axis=0)
     return texts if used.all() else texts[:, used]
 
@@ -138,7 +141,8 @@ def _rows(columns: list) -> Iterator[np.ndarray]:
                 parts.append((c[0], c[1][start:stop]))
             else:
                 patterns, index = next(next_float)
-                parts.append((_trimmed(texts[at : at + patterns.size]), index))
+                own = texts[at : at + patterns.size]
+                parts.append((own if index is None else _trimmed(own), index))
                 at += patterns.size
         yield _slice_bytes(parts)
 
