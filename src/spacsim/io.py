@@ -88,7 +88,7 @@ def _is_labels(column) -> bool:
     return isinstance(column, list) and bool(column) and isinstance(column[0], str)
 
 
-def _label_glyphs(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _label_texts(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct labels as NUL-padded UTF-8 rows, and each row's index among them."""
     names = list(dict.fromkeys(column))
     position = {name: i for i, name in enumerate(names)}
@@ -97,10 +97,8 @@ def _label_glyphs(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return encoded.view(np.uint8).reshape(len(names), -1), index
 
 
-def _slice_bytes(parts: list[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray:
-    """The CSV lines of one slice: ``parts`` holds each column's (NUL-padded texts, row index or None)."""
-    texts, index = parts[0]
-    rows = texts.shape[0] if index is None else index.size
+def _slice_bytes(parts: list[tuple[np.ndarray, np.ndarray | None]], rows: int) -> np.ndarray:
+    """The CSV lines of ``rows`` rows: ``parts`` holds each column's (NUL-padded texts, row index or None)."""
     widths = [texts.shape[1] for texts, _ in parts]
     matrix = np.empty((rows, sum(widths) + len(parts)), dtype=np.uint8)
     at = 0
@@ -129,7 +127,7 @@ def _csv_chunks(header: list[str], columns: list) -> Iterator[bytes | np.ndarray
 
 def _rows(columns: list) -> Iterator[np.ndarray]:
     """The CSV lines of the columns' rows, one array of bytes per slice of rows."""
-    cells = [_label_glyphs(c) if _is_labels(c) else np.asarray(c, dtype=float).reshape(-1) for c in columns]
+    cells = [_label_texts(c) if _is_labels(c) else np.asarray(c, dtype=float).reshape(-1) for c in columns]
     rows = min((len(c[1]) if isinstance(c, tuple) else c.size for c in cells), default=0)
     for start in range(0, rows, SLICE_ROWS):
         stop = min(start + SLICE_ROWS, rows)
@@ -144,7 +142,7 @@ def _rows(columns: list) -> Iterator[np.ndarray]:
                 own = texts[at : at + patterns.size]
                 parts.append((own if index is None else _trimmed(own), index))
                 at += patterns.size
-        yield _slice_bytes(parts)
+        yield _slice_bytes(parts, stop - start)
 
 
 def _transposed(rows: list[list]) -> list[list]:
