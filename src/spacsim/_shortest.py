@@ -1,13 +1,14 @@
 """Shortest round-trip decimal text of float64 arrays, byte for byte ``repr``.
 
 :func:`decimals` and :func:`segments` format a whole array at once,
-with no Python code per value.  The digits come from Ryu's ``d2d`` (Adams, "Ryu: fast
-float-to-string conversion", PLDI 2018), ported to numpy ``uint64``
-lanes:
+with no Python code per value.  The digits come from Ryu's ``d2d``
+(Adams, "Ryu: fast float-to-string conversion", PLDI 2018), ported to
+numpy ``uint64`` lanes:
 
 * the 125-bit multipliers 5^i and 2^k / 5^q are built once, on first
   use, as four 32-bit limbs each;
-* the 64 x 128-bit products are summed from 32-bit partial products;
+* the 64 x 128-bit products are summed from 32-bit partial products,
+  a few thousand lanes at a time;
 * every lane runs Ryu's general digit-removal loop.  Where both
   trailing-zero flags are false it is exactly Ryu's common case, so all
   lanes take one code path.
