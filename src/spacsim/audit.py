@@ -20,6 +20,7 @@ import numpy as np
 from .fock import column_state, moments, pointer_column
 from .params import FIGURE_PRESET, ExperimentParams, validate
 from .printed import printed_kappa_sq, printed_moments, printed_wigner_values
+from .sweeps import grid_values
 from .wigner import check_grid_elements, wigner_grid_values
 
 MOMENT_QUANTITIES = ("n_mean", "m_a", "m_a2", "m_a2d2", "m_a4")
@@ -163,8 +164,6 @@ def audit_columns(
     requested (a repeated name counts once), with its points in grid
     order.  Each state is built once, by :func:`pointer_column`.
     """
-    from .sweeps import grid_values  # local import avoids a cycle
-
     unknown = set(quantities) - set(ALL_QUANTITIES)
     if unknown:
         raise ValueError(f"unknown quantities: {sorted(unknown)}")

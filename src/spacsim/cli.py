@@ -14,8 +14,10 @@ The manifest ``config`` is every parsed flag except ``command`` and
 ``out``, with ``--trunc`` resolved, and ``rerun`` turns it back into
 flags with :func:`spacsim.io.manifest_argv`.
 
-Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical
-backend failure (the message names the failing row or point).
+Exit codes: 0 success, 2 invalid arguments or parameters, or an
+``--out`` that cannot be written (then neither the CSV nor its manifest
+is left behind), 3 numerical backend failure (the message names the
+failing row or point).
 """
 
 from __future__ import annotations
@@ -231,9 +233,18 @@ def _run(args: argparse.Namespace) -> int:
     params = validate(ExperimentParams(**{name: getattr(args, name) for name in SCENARIO_FIELDS}))
     output = command.run(args, params)
     if command.out:
-        write_columns(args.out, output.header, output.columns)
         config = {key: value for key, value in vars(args).items() if key not in ("command", "out")}
-        write_manifest(args.out, args.command, config, __version__, summary=output.summary)
+        try:
+            write_columns(args.out, output.header, output.columns)
+            try:
+                write_manifest(args.out, args.command, config, __version__, summary=output.summary)
+            except OSError:
+                os.unlink(args.out)  # no CSV without its manifest
+                raise
+        except OSError as exc:
+            where = exc.filename2 or exc.filename  # the path the system refused, if it names one
+            reason = exc.strerror or str(exc)
+            raise ValueError(f"cannot write {args.out!r}: {reason}" + (f": {where}" if where else "")) from exc
     for line in output.lines:
         print(line)
     return 0

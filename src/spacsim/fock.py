@@ -25,7 +25,6 @@ displaced-parity Wigner route uses it.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,14 +34,9 @@ import numpy as np
 from .errors import DimensionMismatch, TruncationTooSmall
 from .params import TAIL_LEVELS, ExperimentParams, validate, weak_value
 
-log = logging.getLogger(__name__)
-
 #: Maximum tolerated tail share: the fraction of a constructed state's
 #: squared norm in its top TAIL_LEVELS levels.
 TAIL_THRESHOLD = 1e-10
-
-#: Unitarity drift above which a displaced state is renormalised loudly.
-RENORM_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,9 +52,6 @@ class FockVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def tail_mass(self) -> float:
-        return float(np.sum(np.abs(self.amps[-TAIL_LEVELS:]) ** 2))
 
     def support(self, cutoff: float = 1e-13) -> int:
         """Smallest level above which the remaining mass is below ``cutoff``."""
@@ -123,9 +114,7 @@ def _as_state(amps: np.ndarray, what: str) -> FockVector:
     reason = _tail_failure(what, float(share[0]), amps.size)
     if reason:
         raise TruncationTooSmall(reason)
-    out = np.ascontiguousarray(cols[:, 0])
-    out.setflags(write=False)
-    return FockVector(dim=out.size, amps=out)
+    return column_state(cols[:, 0])
 
 
 def basis_state(n: int, dim: int) -> FockVector:
@@ -204,8 +193,7 @@ def pad(state: FockVector, dim: int) -> FockVector:
         return state
     amps = np.zeros(dim, dtype=np.complex128)
     amps[: state.dim] = state.amps
-    amps.setflags(write=False)
-    return FockVector(dim=dim, amps=amps)
+    return column_state(amps)
 
 
 @lru_cache(maxsize=16)
@@ -269,19 +257,15 @@ def displaced_columns(state: FockVector, betas: np.ndarray) -> np.ndarray:
 def displace(beta: complex, state: FockVector) -> FockVector:
     """Displace a state by ``beta`` with the exact truncated unitary.
 
-    beta = 0 returns the input unchanged.  The output is renormalised;
-    a unitarity drift above 1e-12 is logged before renormalising.
+    beta = 0 returns the input unchanged.  The output is renormalised,
+    which absorbs the eigendecomposition's small unitarity drift.
     Raises TruncationTooSmall if the displaced state reaches the
     truncation boundary.
     """
     beta = complex(beta)
     if beta == 0:
         return state
-    out = displaced_columns(state, np.array([beta]))[:, 0]
-    drift = abs(np.linalg.norm(out) - 1.0)
-    if drift > RENORM_TOLERANCE:
-        log.info("displace(%s): renormalising, unitarity drift %.3e", beta, drift)
-    return _as_state(out, f"displace({beta})")
+    return _as_state(displaced_columns(state, np.array([beta]))[:, 0], f"displace({beta})")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -192,7 +191,9 @@ def csv_round_trips(path: str | Path) -> bool:
 
 def _atomic_write(path: Path, chunks: Iterable[bytes | np.ndarray]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    # created as open(path, "w") creates a file, so the mode follows the umask (mkstemp gives 0600)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:
@@ -233,9 +234,9 @@ class WignerGrid:
             grid_values(self.p_min, self.p_max, self.step),
         )
 
-    def within_bounds(self, slack: float = WIGNER_BOUND_SLACK) -> bool:
-        """True when all values respect the +-2/pi Wigner bound."""
-        limit = WIGNER_BOUND + slack
+    def within_bounds(self) -> bool:
+        """True when all values respect the +-2/pi Wigner bound, within :data:`WIGNER_BOUND_SLACK`."""
+        limit = WIGNER_BOUND + WIGNER_BOUND_SLACK
         return bool(np.all(self.values >= -limit) and np.all(self.values <= limit))
 
     def columns(self) -> list:
@@ -283,15 +284,12 @@ def manifest_argv(manifest: dict, out_override: str | None = None) -> list[str]:
     Uses the resolved configuration recorded in the sidecar; running
     the result reproduces the original output byte for byte.
     """
-    argv = [manifest["command"]]
+    argv = [str(manifest["command"])]  # a hand-edited command that is not a string is then an unknown command
     config = dict(manifest["config"])
     out = out_override if out_override is not None else manifest["out"]
     for key, value in sorted(config.items()):
         flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        elif isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple)):
             argv.extend([flag, ",".join(fmt(v) if isinstance(v, float) else str(v) for v in value)])
         elif isinstance(value, float):
             argv.extend([flag, fmt(value)])

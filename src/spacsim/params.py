@@ -125,18 +125,16 @@ def weak_value(delta: float, phi: float) -> complex:
     Equals exp(i*delta) * tan(phi/2): modulus tan(phi/2), phase delta.
     Unbounded as phi approaches pi, which is what makes large "weak value
     amplification" possible at the price of a small success probability.
+    Raises what :func:`check_fields` raises for ``phi``.
     """
-    if phi < 0:
-        raise RangeError("phi", f"polar angle must be >= 0, got {phi}")
-    if phi >= math.pi:
-        raise DegeneratePostselection(f"phi = {phi} >= pi: weak value diverges")
+    check_fields(phi=phi)
     return cmath.exp(1j * delta) * math.tan(phi / 2)
 
 
 def postselection_probability(phi: float) -> float:
-    """Success probability cos(phi/2)**2 of the postselection, in (0, 1]."""
-    if phi < 0:
-        raise RangeError("phi", f"polar angle must be >= 0, got {phi}")
-    if phi >= math.pi:
-        raise DegeneratePostselection(f"phi = {phi} >= pi: postselection never succeeds")
+    """Success probability cos(phi/2)**2 of the postselection, in (0, 1].
+
+    Raises what :func:`check_fields` raises for ``phi``.
+    """
+    check_fields(phi=phi)
     return math.cos(phi / 2) ** 2

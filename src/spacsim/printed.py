@@ -61,15 +61,17 @@ class PrintedMomentSet:
 def _overflow_is_numerical(evaluate):
     """Report a double overflow inside a printed expression as :class:`NumericalOverflow`.
 
-    Python floats raise OverflowError and the array forms, under
-    ``np.errstate(over="raise")``, FloatingPointError; the expressions
-    themselves stay as printed.
+    Python floats raise OverflowError and numpy, under the
+    ``np.errstate(over="raise")`` entered here, FloatingPointError; the
+    expressions themselves stay as printed.  The message names the first
+    argument: the parameter point, or the alpha column of the array form.
     """
 
     @functools.wraps(evaluate)
     def evaluated(params: ExperimentParams, *args):
         try:
-            return evaluate(params, *args)
+            with np.errstate(over="raise"):
+                return evaluate(params, *args)
         except (OverflowError, FloatingPointError) as exc:
             raise NumericalOverflow(
                 f"{evaluate.__name__}: the printed expression overflows a double at {params}: {exc}"
@@ -304,6 +306,7 @@ def printed_moments(params: ExperimentParams) -> PrintedMomentSet:
     )
 
 
+@_overflow_is_numerical
 def printed_moment_columns(alpha, s, w) -> PrintedMomentSet:
     """:func:`printed_moments` over columns of alpha, s and the weak value w.
 
@@ -318,17 +321,12 @@ def printed_moment_columns(alpha, s, w) -> PrintedMomentSet:
     alpha, s, w = np.broadcast_arrays(
         np.asarray(alpha, dtype=np.complex128), np.asarray(s, dtype=np.float64), np.asarray(w, dtype=np.complex128)
     )
-    try:
-        with np.errstate(over="raise"):
-            inv = _inverse_kappa_sq(alpha, s, w)
-            bad = np.flatnonzero(inv <= 0.0)  # a NaN passes, as in the scalar form
-            if bad.size:
-                raise NonPositiveNorm(f"printed normalisation expression is {inv[bad[0]]} at column {bad[0]}")
-            k2 = 1.0 / inv
-            terms = _moment_terms(alpha, s, w, k2)
-    except FloatingPointError as exc:
-        raise NumericalOverflow(f"printed_moment_columns: the printed expression overflows a double: {exc}") from exc
-    return PrintedMomentSet(*terms, kappa_sq=k2)
+    inv = _inverse_kappa_sq(alpha, s, w)
+    bad = np.flatnonzero(inv <= 0.0)  # a NaN passes, as in the scalar form
+    if bad.size:
+        raise NonPositiveNorm(f"printed normalisation expression is {inv[bad[0]]} at column {bad[0]}")
+    k2 = 1.0 / inv
+    return PrintedMomentSet(*_moment_terms(alpha, s, w, k2), kappa_sq=k2)
 
 
 def _w_helper(alpha: complex, s: float, z: complex) -> float:
@@ -377,6 +375,4 @@ def printed_wigner_values(params: ExperimentParams, zs: np.ndarray) -> np.ndarra
     validate(params)
     zs = np.asarray(zs, dtype=np.complex128)
     w = weak_value(params.delta, params.phi)
-    k2 = printed_kappa_sq(params)
-    with np.errstate(over="raise"):
-        return _wigner(params.alpha, params.s, w, k2, zs)
+    return _wigner(params.alpha, params.s, w, printed_kappa_sq(params), zs)

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 import spacsim
+import spacsim.sweeps
 from spacsim.cli import build_parser, main
 from spacsim.errors import SpacsimError
 from spacsim.fock import final_pointer_state, pointer_column
 from spacsim.io import WignerGrid, csv_round_trips, load_manifest, read_csv, write_csv
 from spacsim.params import FIGURE_PRESET, MAX_TRUNC
 from spacsim.printed import printed_moments, printed_wigner_values
+from spacsim.squeezing import point_report
 from spacsim.sweeps import DEFAULT_PHIS, FIDELITY_COUPLINGS, fidelity_table, grid_values, sweep_r, sweep_s
 from spacsim.wigner import wigner_grid_values
 
@@ -568,3 +570,66 @@ class TestGridCaps:
         err = capsys.readouterr().err
         assert err.startswith("spacsim: invalid arguments: ") and err.count("\n") == 1
         assert not out.exists() and not Path(str(out) + ".manifest").exists()
+
+
+def test_printed_sweep_falls_back_to_the_scalar_forms(tmp_path, monkeypatch):
+    """At s = 1e62 the column forms overflow and every scalar form succeeds, so each row is one point_report."""
+    calls = []
+
+    def counted(params, backend="oracle"):
+        calls.append(params)
+        return point_report(params, backend)
+
+    monkeypatch.setattr(spacsim.sweeps, "point_report", counted)
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    assert run("fig1a", "--backend", "printed", "--s-max", "1e62", "--s-step", "1e62", "--out", str(out)) == 0
+    assert len(calls) == 8
+    rows = []
+    for phi in DEFAULT_PHIS:
+        for s in (0.0, 1e62):
+            report = point_report(FIGURE_PRESET.with_(phi=phi, s=s), "printed")
+            rows.append([phi, s] + [getattr(report, name) for name in _REPORT_FIELDS])
+    write_csv(ref, ["phi", "s", "s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity"], rows)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is invalid input: one line, exit 2, and no file left behind."""
+
+    def assert_cannot_write(self, out: str, capsys) -> None:
+        assert run("fig1a", "--s-max", "0", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"spacsim: invalid arguments: cannot write {out!r}: ") and err.count("\n") == 1
+
+    def test_existing_directory(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        self.assert_cannot_write(str(tmp_path / "out"), capsys)
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["out"]
+
+    def test_empty_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.assert_cannot_write("", capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parent_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("kept")
+        self.assert_cannot_write(str(tmp_path / "file" / "x.csv"), capsys)
+        assert list(tmp_path.iterdir()) == [tmp_path / "file"]
+        assert (tmp_path / "file").read_text() == "kept"
+
+    def test_manifest_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "x.csv.manifest").mkdir()
+        self.assert_cannot_write(str(tmp_path / "x.csv"), capsys)
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["x.csv.manifest"]
+
+
+def test_output_modes_follow_the_umask(tmp_path):
+    out = tmp_path / "out.csv"
+    previous = os.umask(0o022)
+    try:
+        assert run("fig1a", "--s-max", "0", "--out", str(out)) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == 0o644
+    assert Path(str(out) + ".manifest").stat().st_mode & 0o777 == 0o644
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest"]

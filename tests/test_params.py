@@ -85,6 +85,22 @@ class TestPostselectionProbability:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+class TestPhiDomain:
+    """weak_value and postselection_probability check phi as validate does, NaN included."""
+
+    @pytest.mark.parametrize("function", [lambda phi: weak_value(0.3, phi), postselection_probability])
+    @pytest.mark.parametrize("phi", [math.nan, -1.0, math.inf, -math.inf])
+    def test_outside_the_domain_is_a_range_error(self, function, phi):
+        with pytest.raises(RangeError) as err:
+            function(phi)
+        assert err.value.field == "phi"
+
+    @pytest.mark.parametrize("function", [lambda phi: weak_value(0.3, phi), postselection_probability])
+    def test_pi_is_degenerate(self, function):
+        with pytest.raises(DegeneratePostselection):
+            function(math.pi)
+
+
 class TestIdentities:
     def test_amplification_tradeoff(self):
         """|w|^2 * P_s equals sin(phi/2)^2 for any angles."""

@@ -106,6 +106,13 @@ class TestPositionRepresentationGrid:
         with pytest.raises(TruncationTooSmall):
             wigner_grid_values(spacs(1.0, 64), axis, axis)
 
+    def test_single_x_value_agrees_with_displaced_parity(self):
+        state = final_pointer_state(FIGURE_PRESET.with_(r=1.0, s=2.0))
+        ps = np.linspace(-4.0, 4.0, 201)
+        grid = wigner_grid_values(state, np.array([0.5]), ps)
+        assert grid.shape == (1, ps.size)
+        assert np.max(np.abs(grid[0] - wigner_values(state, 0.5 + 1j * ps))) <= 1e-12
+
     def test_rejects_non_uniform_xs(self):
         with pytest.raises(ValueError):
             wigner_grid_values(spacs(1.0, 64), np.array([0.0, 0.1, 0.3]), np.array([0.0]))

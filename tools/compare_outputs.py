@@ -18,10 +18,13 @@ sweep and a Wigner grid with ``--workers`` above 1, printed-backend
 sweeps of every kind and an oracle sweep at other angles, the help and
 version texts, three printed-backend overflows, an overflow part way
 along a printed sweep, a negative swept value and a truncation too
-small for some rows.  The last four cover the rarer layouts of the CSV
+small for some rows.  Then come the rarer layouts of the CSV
 number formatter: a Wigner grid whose axis values have long texts, a
 large-truncation sweep with values above 100, a fine audit grid, and a
-printed coupling sweep whose fidelity column is all ``nan``.
+printed coupling sweep whose fidelity column is all ``nan``.  The last
+three are a printed sweep whose column forms overflow and whose scalar
+forms all succeed, a Wigner grid with a single x value, and an
+``--out`` that is an existing directory.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: A directory made in each scratch directory before the runs, for an unwritable --out.
+EXISTING_DIR = "existing-dir"
 COMMANDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3", "wigner", "audit", "point", "rerun")
 
 
@@ -68,9 +73,12 @@ def cases() -> list[tuple[list[str], bool]]:
         ["fig1b", "--r-max", "30", "--trunc", "2048"],
         ["audit", "--wigner-step", "0.1"],
         ["fig2a", "--backend", "printed", "--phis", "0.3,2.9"],
+        ["fig1a", "--backend", "printed", "--s-max", "1e62", "--s-step", "1e62"],
+        ["wigner", "--x-min", "0.5", "--x-max", "0.5"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed", "--s", "1e200"])
+    printing.append(["fig1a", "--out", EXISTING_DIR])
     return [(argv, True) for argv in writing] + [(argv, False) for argv in printing]
 
 
@@ -78,6 +86,7 @@ def run_tree(src: Path, workdir: Path) -> list[dict]:
     """Run every case against one tree; one record per case."""
     env = {k: v for k, v in os.environ.items() if k != "SPACS_TRUNC"}
     env["PYTHONPATH"] = str(src)
+    (workdir / EXISTING_DIR).mkdir()
     records = []
     for i, (argv, writes) in enumerate(cases()):
         out = workdir / f"out{i}.csv"
