@@ -157,7 +157,7 @@ SMALL_CONFIGS = {
     "wigner": {"x_min": -1.0, "x_max": 1.0, "p_min": -1.0, "p_max": 1.0, "grid_step": 0.25, "trunc": 32},
     "audit": {"r_values": [0.5], "s_values": [0.5], "wigner_half_width": 1.0, "wigner_step": 0.5, "trunc": 32},
     "point": {"trunc": 32},
-    "rerun": {"manifest": "hand.manifest"},  # a manifest that names itself
+    "rerun": {"manifest": "hand.manifest"},  # rerun takes its manifest as a positional, so this flag is unknown
 }
 
 
