@@ -295,9 +295,12 @@ def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
 
         D(beta)|phi> ~ exp(i Im(beta alpha*)) (adag - beta*) |alpha + beta>
 
-    and normalised.  The photon-added state, both branches and the
-    superposition are tail-checked in that order, and the first failure
-    names the column's error.
+    and normalised, once per distinct (alpha, s) pair: the angles of one
+    sweep value differ only in w.  A column's bits depend only on whether
+    the batch has one column or several, not on its neighbours.  The
+    photon-added state, both branches and the superposition are
+    tail-checked in that order, and the first failure names the column's
+    error.
     """
     alphas, s, w = np.broadcast_arrays(
         np.atleast_1d(np.asarray(alphas, dtype=np.complex128)),
@@ -306,20 +309,31 @@ def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
     )
     if dim < 3:
         raise ValueError(f"photon-added state needs dim >= 3, got {dim}")
-    # A coupling sweep repeats one alpha across the block: build each distinct
-    # coherent column once (on the bits, so -0.0 stays apart from 0.0) and
-    # copy it out.  The reductions below still see the full block in C order:
-    # an F-ordered block sums along axis 0 in another order and changes bits.
-    bits = np.ascontiguousarray(alphas).view(np.int64).reshape(-1, 2)
-    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    coherent_block = _coherent_columns(alphas[first], dim).take(inverse.reshape(-1), axis=1)
-    initial, initial_share, _ = _normalised(_raised(coherent_block))
+    # A sweep block repeats points: one alpha across a coupling sweep, one
+    # (alpha, s) pair per angle.  Build the photon-added column once per
+    # distinct alpha and both branches once per distinct pair, on the bits (so
+    # -0.0 stays apart from 0.0), and gather them back in C order.  Axis-0
+    # reductions over two or more C-ordered columns add row by row, but over a
+    # single column pairwise, so a column's bits depend only on whether its
+    # block has one column or several: a block of several columns with one
+    # distinct point builds it over two.
+    bits = np.stack([alphas.real, alphas.imag, s], axis=1)
+    gathers = []
+    for key in (np.ascontiguousarray(bits[:, :2]), bits):
+        # one raw-bytes scalar per row: np.unique over those is several times cheaper than with axis=0
+        rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).reshape(-1)
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        gathers.append((np.repeat(first, 2) if first.size == 1 < alphas.size else first, inverse))
+    (first, inverse), (pair, pair_inverse) = gathers
+    initial, initial_share, _ = _normalised(_raised(_coherent_columns(alphas[first], dim)))
+    initial, initial_share = initial.take(inverse, axis=1), initial_share[inverse]
     branches = []
-    for beta in (s / 2, -s / 2):  # real, so beta* = beta
-        shifted = _coherent_columns(alphas + beta, dim)
-        phase = np.exp(1j * (beta * alphas.conj()).imag)
-        branches.append(_normalised(phase * (_raised(shifted) - beta * shifted)))
-    (plus, plus_share, _), (minus, minus_share, _) = branches
+    for beta in (s[pair] / 2, -s[pair] / 2):  # real, so beta* = beta
+        shifted = _coherent_columns(alphas[pair] + beta, dim)
+        phase = np.exp(1j * (beta * alphas[pair].conj()).imag)
+        branch, share, _ = _normalised(phase * (_raised(shifted) - beta * shifted))
+        branches.append((branch.take(pair_inverse, axis=1), share[pair_inverse]))
+    (plus, plus_share), (minus, minus_share) = branches
     final, final_share, norm = _normalised((1 + w) * plus + (1 - w) * minus)
     final[:, s == 0] = initial[:, s == 0]  # both branches are the initial state there
 

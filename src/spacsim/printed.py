@@ -64,7 +64,8 @@ def _overflow_is_numerical(evaluate):
     Python floats raise OverflowError and numpy, under the
     ``np.errstate(over="raise")`` entered here, FloatingPointError; the
     expressions themselves stay as printed.  The message names the first
-    argument: the parameter point, or the alpha column of the array form.
+    argument: the parameter point, or the size and first entry of the
+    alpha column of the array form, which may hold many thousands.
     """
 
     @functools.wraps(evaluate)
@@ -73,8 +74,9 @@ def _overflow_is_numerical(evaluate):
             with np.errstate(over="raise"):
                 return evaluate(params, *args)
         except (OverflowError, FloatingPointError) as exc:
+            where = f"a column of {params.size} alphas starting {params.flat[0]}" if isinstance(params, np.ndarray) else params
             raise NumericalOverflow(
-                f"{evaluate.__name__}: the printed expression overflows a double at {params}: {exc}"
+                f"{evaluate.__name__}: the printed expression overflows a double at {where}: {exc}"
             ) from exc
 
     return evaluated

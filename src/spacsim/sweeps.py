@@ -8,8 +8,10 @@ squeezing report per point.  Rows are emitted in a fixed order
 :func:`sweep_columns` is the one evaluation path: it checks the
 points' fields without building a parameter point per row, and keeps
 every report field as one array over the rows.  The oracle backend
-sends consecutive blocks of points through
-:func:`~spacsim.fock.pointer_columns`, and a point whose state fails
+takes the rows value by value, each value's angles side by side, and
+sends consecutive blocks of them through
+:func:`~spacsim.fock.pointer_columns`, which builds the displaced
+branches once per value for all its angles.  A point whose state fails
 the truncation tail check becomes a row error marker while the sweep
 carries on; any other error propagates.  The printed backend evaluates
 the closed forms over the whole column at once.  :func:`sweep_s`,
@@ -48,8 +50,9 @@ MAX_GRID_POINTS = 2**16
 #: Complex amplitudes per array in one block of sweep columns; a block holds
 #: max(1, BLOCK_ELEMENTS // trunc) points, which bounds memory before allocating.
 #: A point built in a block of its own differs in the last bits from one built
-#: with others (numpy reduces a single column in another order), so this
-#: partition is part of the output bytes.
+#: with others (numpy reduces a single column in another order), so which rows
+#: sit alone is part of the output bytes: the last row when the row count
+#: leaves a remainder of one, or every row at one point per block.
 BLOCK_ELEMENTS = 2**15
 
 
@@ -142,12 +145,15 @@ def sweep_columns(
     if backend == "oracle":
         report = SqueezingReport(*(np.empty(n) for _ in fields(SqueezingReport)))
         width = max(1, BLOCK_ELEMENTS // base.trunc)
+        # point-major: a value's angles sit side by side, so a block shares their branches
+        order = np.arange(n).reshape(phis.size, values.size).T.ravel()
         for start in range(0, n, width):
-            block = slice(start, start + width)
+            block = order[start : start + width]
             cols = pointer_columns(alpha[block], s[block], w[block], base.trunc)
             for name, column in vars(column_report(cols)).items():
                 getattr(report, name)[block] = column
-            errors[block] = [f"{TruncationTooSmall.__name__}: {e}" if e else "" for e in cols.errors]
+            for row, e in zip(block.tolist(), cols.errors):
+                errors[row] = f"{TruncationTooSmall.__name__}: {e}" if e else ""
     else:
         try:
             with np.errstate(over="raise"):

@@ -122,6 +122,12 @@ class TestPrintedMomentColumns:
         with pytest.raises(NumericalOverflow, match="overflows a double"):
             printed_moment_columns(np.array([1.0, 1e200]), 0.5, weak_value(0.5, 1.0))
 
+    def test_overflow_message_of_a_long_column_is_short(self):
+        alpha = np.linspace(0.0, 1e200, 804) * np.exp(0.25j * math.pi)
+        with pytest.raises(NumericalOverflow, match="overflows a double") as raised:
+            printed_moment_columns(alpha, 0.5, weak_value(0.5, 1.0))
+        assert len(str(raised.value)) < 300
+
 
 class TestPrintedWigner:
     def test_single_photon_origin_doubles_oracle(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spacsim.sweeps
 from spacsim.errors import TruncationTooSmall
@@ -197,6 +199,46 @@ class TestColumnSweeps:
             ref = column_report(pointer_columns(base.alpha, sweep.s[block], w[block], base.trunc))
             for name in REPORT_FIELDS:
                 assert np.array_equal(getattr(sweep.report, name)[block], getattr(ref, name)), (start, name)
+
+    @settings(max_examples=25, deadline=2000, derandomize=True, database=None)
+    @given(
+        phis=st.lists(st.sampled_from([0.3, 1.0, 2.0, 7 * math.pi / 9]), min_size=1, max_size=5),
+        count=st.integers(1, 40),
+        step=st.sampled_from([0.05, 0.1, 0.25]),
+        swept=st.sampled_from(["s", "r"]),
+        trunc=st.integers(8, 48),
+        width=st.sampled_from([0, 1, 2, 3, 4, 5, 7, 12]),
+        spare=st.integers(0, 5),
+    )
+    @example(phis=[0.3, 1.0, 2.0], count=9, step=0.25, swept="r", trunc=16, width=2, spare=0)  # a lone last row
+    @example(phis=[1.0, 1.0, 2.0, 0.3], count=5, step=0.25, swept="s", trunc=20, width=3, spare=5)
+    def test_point_major_blocks_keep_the_angle_outer_bits(self, phis, count, step, swept, trunc, width, spare):
+        # a width of 0 makes BLOCK_ELEMENTS < trunc, which the sweep clamps to one point per block
+        values = step * np.arange(count)
+        base = FIGURE_PRESET.with_(r=1.0, s=1.0, trunc=trunc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spacsim.sweeps, "BLOCK_ELEMENTS", width * trunc + min(spare, trunc - 1))
+            sweep = sweep_columns(base, swept, values, tuple(phis))
+        w = np.repeat([weak_value(base.delta, phi) for phi in phis], count)
+        alpha = sweep.r * np.exp(1j * base.theta)
+        errors = []
+        for start in range(0, sweep.s.size, max(1, width)):
+            block = slice(start, start + max(1, width))
+            cols = pointer_columns(alpha[block], sweep.s[block], w[block], base.trunc)
+            ref = column_report(cols)
+            for name in REPORT_FIELDS:
+                assert np.array_equal(getattr(sweep.report, name)[block], getattr(ref, name), equal_nan=True), (start, name)
+            errors += [f"TruncationTooSmall: {e}" if e else "" for e in cols.errors]
+        assert sweep.errors == tuple(errors)
+
+    def test_repeated_pair_has_the_bits_it_has_beside_another(self):
+        alpha, w = FIGURE_PRESET.alpha, [weak_value(FIGURE_PRESET.delta, phi) for phi in (0.3, 1.0, 2.0)]
+        alone = pointer_columns(alpha, [1.5, 1.5, 1.5], w, 64)
+        beside = pointer_columns(alpha, [1.5, 0.7, 1.5, 1.5], [w[0], w[0], w[1], w[2]], 64)
+        keep = [0, 2, 3]
+        for name in ("initial", "final"):
+            assert np.array_equal(getattr(alone, name), getattr(beside, name)[:, keep]), name
+        assert np.array_equal(alone.norm_sq, beside.norm_sq[keep])
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

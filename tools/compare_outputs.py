@@ -21,10 +21,14 @@ along a printed sweep, a negative swept value and a truncation too
 small for some rows.  Then come the rarer layouts of the CSV
 number formatter: a Wigner grid whose axis values have long texts, a
 large-truncation sweep with values above 100, a fine audit grid, and a
-printed coupling sweep whose fidelity column is all ``nan``.  The last
-three are a printed sweep whose column forms overflow and whose scalar
+printed coupling sweep whose fidelity column is all ``nan``.  Next
+come a printed sweep whose column forms overflow and whose scalar
 forms all succeed, a Wigner grid with a single x value, and an
-``--out`` that is an existing directory.
+``--out`` that is an existing directory.  Five oracle sweeps probe the
+edges of the block partition (max(1, 32768 // trunc) points per
+block): 73-point blocks with a last block of one row, one-point
+blocks, three-point blocks that split a value's angles, a single
+coupling value at four angles, and a repeated angle.
 """
 
 from __future__ import annotations
@@ -75,6 +79,11 @@ def cases() -> list[tuple[list[str], bool]]:
         ["fig2a", "--backend", "printed", "--phis", "0.3,2.9"],
         ["fig1a", "--backend", "printed", "--s-max", "1e62", "--s-step", "1e62"],
         ["wigner", "--x-min", "0.5", "--x-max", "0.5"],
+        ["fig1a", "--trunc", "448"],
+        ["fig1b", "--trunc", "16385", "--r-max", "0.1"],
+        ["fig1a", "--trunc", "10923", "--s-max", "0.04", "--phis", "0.3,0.6"],
+        ["fig1a", "--s-max", "0"],
+        ["fig1a", "--phis", "1.0,1.0,2.0"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed", "--s", "1e200"])
