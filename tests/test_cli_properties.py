@@ -67,7 +67,11 @@ def scenario_flags(draw) -> list[str]:
 
 @st.composite
 def sweep_argv(draw) -> list[str]:
-    """A grid of at most 50 points unless an end or the step is special."""
+    """A grid of at most 50 points unless an end or the step is special.
+
+    ``--phis`` and ``--s-values`` are now and then empty, which runs a
+    sweep over no angle or no coupling.
+    """
     command = draw(st.sampled_from(["fig1a", "fig1b", "fig2a", "fig2b", "fig3"]))
     axis = "s" if command in ("fig1a", "fig2a") else "r"
     lo = draw(value(0.0, 3.0))
@@ -75,14 +79,17 @@ def sweep_argv(draw) -> list[str]:
     hi = draw(rarely(st.sampled_from(SPECIAL), st.integers(0, 49).map(lambda count: lo + count * step)))
     argv = [command, f"--{axis}-min={lo!r}", f"--{axis}-max={hi!r}", f"--{axis}-step={step!r}"]
     if command == "fig3":
-        argv.append(f"--s-values={draw(values(0.0, 4.0))}")
+        argv.append(f"--s-values={draw(rarely(st.just(''), values(0.0, 4.0)))}")
     elif draw(st.booleans()):
-        argv.append(f"--phis={draw(values(0.0, 3.2))}")
+        argv.append(f"--phis={draw(rarely(st.just(''), values(0.0, 3.2)))}")
     return argv + scenario_flags(draw)
 
 
 @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
 @given(sweep_argv())
+@example(["fig1a", "--s-min=0.0", "--s-max=0.5", "--s-step=0.25", "--phis=", "--trunc=16"])  # no angle
+@example(["fig1b", "--r-min=0.0", "--r-max=0.5", "--r-step=0.25", "--phis=", "--trunc=16"])
+@example(["fig3", "--r-min=0.0", "--r-max=0.5", "--r-step=0.25", "--s-values=", "--trunc=16"])  # no coupling
 def test_sweep_commands_exit_cleanly(argv):
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "out.csv"
