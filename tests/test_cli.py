@@ -426,8 +426,8 @@ class TestTruncationInput:
         assert not out.exists() and not Path(str(out) + ".manifest").exists()
 
 
-def _spacsim_subprocess(*argv: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(Path(spacsim.__file__).resolve().parents[1]))
+def _spacsim_subprocess(*argv: str, **env_vars: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(spacsim.__file__).resolve().parents[1]), **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "spacsim.cli", *argv], capture_output=True, text=True, env=env, timeout=60
     )
@@ -455,6 +455,21 @@ def test_printed_overflow_is_one_line_numerical_failure(argv, tmp_path):
     assert done.stderr.startswith("spacsim: numerical failure: printed_") and done.stderr.count("\n") == 1
     assert "overflows a double" in done.stderr and "Traceback" not in done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_wigner_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The default (0, 0) panel writes the same bytes under one and two OpenBLAS threads.
+
+    OpenBLAS never runs more threads than the host has CPUs, so on a
+    one-CPU host both runs use one thread and this passes trivially.
+    """
+    panels = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"w{threads}.csv"
+        done = _spacsim_subprocess("wigner", "--r", "0", "--s", "0", "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        panels.append(out.read_bytes())
+    assert panels[0] == panels[1]
 
 
 # The manifest config keys each command wrote before its flags came from one table.

@@ -113,6 +113,18 @@ class TestPositionRepresentationGrid:
         assert grid.shape == (1, ps.size)
         assert np.max(np.abs(grid[0] - wigner_values(state, 0.5 + 1j * ps))) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "ps", [[2.5, -0.7, 0.0, -0.0, 0.7, -3.1, 2.5], [-0.3, -2.0, -1.1]], ids=["mixed", "negative"]
+    )
+    def test_unsorted_asymmetric_and_repeated_ps(self, ps):
+        # the route sums over the distinct |p| and sets the sign of the odd part per p
+        state = final_pointer_state(FIGURE_PRESET.with_(r=1.0, s=2.0))
+        xs = np.linspace(-2.0, 2.0, 9)
+        ps = np.array(ps)
+        grid = wigner_grid_values(state, xs, ps)
+        assert np.max(np.abs(grid - wigner_values(state, xs[:, None] + 1j * ps[None, :]))) <= 1e-12
+        assert np.max(np.abs(grid - wigner_grid_values(state, xs, -ps))) > 1e-2  # W is not even in p here
+
     def test_rejects_non_uniform_xs(self):
         with pytest.raises(ValueError):
             wigner_grid_values(spacs(1.0, 64), np.array([0.0, 0.1, 0.3]), np.array([0.0]))

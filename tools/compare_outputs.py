@@ -28,7 +28,9 @@ forms all succeed, a Wigner grid with a single x value, and an
 edges of the block partition (max(1, 32768 // trunc) points per
 block): 73-point blocks with a last block of one row, one-point
 blocks, three-point blocks that split a value's angles, a single
-coupling value at four angles, and a repeated angle.
+coupling value at four angles, and a repeated angle.  A Wigner grid
+whose p range is not symmetric about 0 checks the grid route's fold
+onto the distinct |p| where most values of p have no mirror.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ def cases() -> list[tuple[list[str], bool]]:
         ["fig1a", "--trunc", "10923", "--s-max", "0.04", "--phis", "0.3,0.6"],
         ["fig1a", "--s-max", "0"],
         ["fig1a", "--phis", "1.0,1.0,2.0"],
+        ["wigner", "--r", "1", "--s", "2", "--p-min", "-1.0", "--p-max", "3.0", "--x-min", "-2.0", "--x-max", "2.0"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed", "--s", "1e200"])
