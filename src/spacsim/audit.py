@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import column_state, moments, pointer_column
-from .params import FIGURE_PRESET, ExperimentParams, validate
-from .printed import printed_kappa_sq, printed_moments, printed_wigner_values
+from .params import FIGURE_PRESET, ExperimentParams, validate, weak_value
+from .printed import evaluate_points, printed_kappa_sq_columns, printed_moment_columns, printed_wigner_values
 from .sweeps import grid_values
 from .wigner import check_grid_elements, wigner_grid_values
 
@@ -162,7 +162,8 @@ def audit_columns(
 
     One :class:`QuantityColumns` per requested quantity, in the order
     requested (a repeated name counts once), with its points in grid
-    order.  Each state is built once, by :func:`pointer_column`.
+    order.  Each state is built once, by :func:`pointer_column`; the
+    printed moments and kappa^2 are evaluated once over the whole grid.
     """
     unknown = set(quantities) - set(ALL_QUANTITIES)
     if unknown:
@@ -176,40 +177,48 @@ def audit_columns(
         return []
     wanted_moments = [q for q in quantities if q in MOMENT_QUANTITIES]
 
-    pairs: dict[str, tuple[list, list]] = {q: ([], []) for q in quantities}
+    columns = (
+        np.array([params.alpha for params in grid]),
+        np.array([params.s for params in grid], dtype=np.float64),
+        np.array([weak_value(params.delta, params.phi) for params in grid]),
+    )
+    printed: dict[str, np.ndarray | list] = {}
+    if wanted_moments:
+        printed.update(vars(evaluate_points("printed_moments", printed_moment_columns, grid.__getitem__, *columns)))
+    elif "kappa_sq" in quantities:
+        printed["kappa_sq"] = evaluate_points("printed_kappa_sq", printed_kappa_sq_columns, grid.__getitem__, *columns)
+
+    oracle: dict[str, list] = {q: [] for q in quantities}
     if "wigner" in quantities:
         axis = grid_values(-wigner_half_width, wigner_half_width, wigner_step)
         check_grid_elements(axis.size**2)
         zs = axis[:, None] + 1j * axis[None, :]
+        printed["wigner"] = []
     for params in grid:
         cols = pointer_column(params)
         state = column_state(cols.final[:, 0])
         if wanted_moments:
             om = moments(state)
-            pm = printed_moments(params)
             for q in wanted_moments:
-                pairs[q][0].append(complex(getattr(om, q)))
-                pairs[q][1].append(complex(getattr(pm, q)))
+                oracle[q].append(complex(getattr(om, q)))
         if "kappa_sq" in quantities:
-            pairs["kappa_sq"][0].append(2.0 / float(cols.norm_sq[0]))
-            pairs["kappa_sq"][1].append(complex(printed_kappa_sq(params)))
+            oracle["kappa_sq"].append(2.0 / float(cols.norm_sq[0]))
         if "wigner" in quantities:
-            pairs["wigner"][0].append(wigner_grid_values(state, axis, axis).ravel())
-            pairs["wigner"][1].append(printed_wigner_values(params, zs).ravel())
+            oracle["wigner"].append(wigner_grid_values(state, axis, axis).ravel())
+            printed["wigner"].append(printed_wigner_values(params, zs).ravel())
 
     echo = {name: np.array([getattr(params, name) for params in grid], dtype=float) for name in ECHOED}
     nan = np.full(len(grid), math.nan)
     out = []
     for q in quantities:
-        oracle, printed = pairs[q]
         if q == "wigner":
             n = axis.size
             owner = np.repeat(np.arange(len(grid)), n * n)  # grid index of each point
             x, p = np.tile(np.repeat(axis, n), len(grid)), np.tile(axis, n * len(grid))
-            oracle, printed = np.concatenate(oracle), np.concatenate(printed)
-            out.append(_fitted(q, {k: v[owner] for k, v in echo.items()}, x, p, oracle, printed))
+            values = np.concatenate(oracle[q]), np.concatenate(printed[q])
+            out.append(_fitted(q, {k: v[owner] for k, v in echo.items()}, x, p, *values))
         else:
-            out.append(_fitted(q, echo, nan, nan, oracle, printed))
+            out.append(_fitted(q, echo, nan, nan, oracle[q], printed[q]))
     return out
 
 

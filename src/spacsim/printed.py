@@ -10,11 +10,14 @@ suspected misprint is carried over as written and the few genuinely
 ambiguous readings are resolved minimally and recorded in
 TRANSCRIPTION_NOTES.md at the repository root.
 
-Each expression is written once.  Its exponentials go through
-one dispatch, cmath/math for a number and numpy for an array, so the
-same text evaluates one point (:func:`printed_moments`,
-:func:`printed_wigner`) or a column of points
-(:func:`printed_moment_columns`, :func:`printed_wigner_values`).
+Each expression is written once, in numpy, over columns of points
+(:func:`printed_kappa_sq_columns`, :func:`printed_moment_columns`) or
+an array of phase-space points (:func:`printed_wigner_values`).  One
+point is a column of one entry (:func:`printed_moments`,
+:func:`printed_kappa_sq`, :func:`printed_wigner`), so it gets the
+values of its row in a column bit for bit.  :func:`evaluate_points` is
+the one place where a double overflow or a normalisation <= 0 becomes
+an error, and that error names the first failing point.
 
 Known readings (details in the notes file):
 
@@ -31,10 +34,9 @@ is signal, not a bug.  The audit harness quantifies it per quantity.
 
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -58,74 +60,70 @@ class PrintedMomentSet:
     kappa_sq: float
 
 
-def _overflow_is_numerical(evaluate):
-    """Report a double overflow inside a printed expression as :class:`NumericalOverflow`.
+def evaluate_points(name: str, evaluate: Callable, point: Callable[[int], object], *columns: np.ndarray):
+    """``evaluate(*columns)`` under ``np.errstate(over="raise")``; a failure names the first failing point.
 
-    Python floats raise OverflowError and numpy, under the
-    ``np.errstate(over="raise")`` entered here, FloatingPointError; the
-    expressions themselves stay as printed.  The message names the first
-    argument: the parameter point, or the size and first entry of the
-    alpha column of the array form, which may hold many thousands.
+    The columns are 1-D arrays of one length, one entry per point.  If
+    a double overflows or a printed normalisation is <= 0 anywhere, the
+    points are evaluated again one at a time, in order, in the same
+    arithmetic, and the first that fails raises
+    :class:`NumericalOverflow` or :class:`NonPositiveNorm` naming
+    ``point(j)``, its parameters.  ``name`` heads the overflow message.
     """
-
-    @functools.wraps(evaluate)
-    def evaluated(params: ExperimentParams, *args):
+    with np.errstate(over="raise"):
         try:
-            with np.errstate(over="raise"):
-                return evaluate(params, *args)
-        except (OverflowError, FloatingPointError) as exc:
-            where = f"a column of {params.size} alphas starting {params.flat[0]}" if isinstance(params, np.ndarray) else params
-            raise NumericalOverflow(
-                f"{evaluate.__name__}: the printed expression overflows a double at {where}: {exc}"
-            ) from exc
+            return evaluate(*columns)
+        except (FloatingPointError, NonPositiveNorm) as exc:
+            failure = exc
+        for j in range(len(columns[0])):
+            try:
+                evaluate(*(column[j : j + 1] for column in columns))
+            except FloatingPointError as exc:
+                raise NumericalOverflow(f"{name}: the printed expression overflows a double at {point(j)}: {exc}") from exc
+            except NonPositiveNorm as exc:
+                raise NonPositiveNorm(f"{exc} at {point(j)}") from exc
+    raise failure  # not reached: a point alone fails as it does in its column
 
-    return evaluated
 
-
-def _exp(x):
-    """exp of a complex or real scalar with cmath or math, of an array with np.exp.
-
-    Every other operation in the transcription works unchanged on
-    Python numbers and on numpy arrays, so this one dispatch lets each
-    expression be written once and evaluated over a single point or a
-    column of points.
-    """
-    if isinstance(x, np.ndarray):
-        return np.exp(x)
-    return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
+def point_columns(params: ExperimentParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The alpha, s and weak-value columns of one valid point, one entry each."""
+    validate(params)
+    w = weak_value(params.delta, params.phi)
+    return np.array([params.alpha]), np.array([params.s], dtype=np.float64), np.array([w])
 
 
 def _gamma_sq(alpha: complex) -> float:
     return 1.0 / (1.0 + abs(alpha) ** 2)
 
 
-def _inverse_kappa_sq(alpha: complex, s: float, w: complex) -> float:
-    """The printed expression 1/kappa^2, before its sign is checked."""
-    g2 = _gamma_sq(alpha)
-    bracket = (1.0 / g2) - s * s + alpha * s - alpha.conjugate() * s
-    cross = (1 + w.conjugate()) * (1 - w) * bracket * _exp(2j * s * alpha.imag)
-    return 1.0 + abs(w) ** 2 + g2 * _exp(-s * s / 2.0) * cross.real
-
-
-@_overflow_is_numerical
-def printed_kappa_sq(params: ExperimentParams) -> float:
-    """Printed normalisation coefficient kappa^2.
+def printed_kappa_sq_columns(alpha, s, w):
+    """Printed normalisation coefficient kappa^2 over columns of alpha, s and the weak value w.
 
     Inverse of 1 + |w|^2 + g^2 e^{-s^2/2} Re[(1+w*)(1-w)
     (1/g^2 - s^2 + alpha s - alpha* s) e^{2 s i Im(alpha)}] with
-    g^2 = 1/(1+|alpha|^2).  Collapses to 1/2 at s = 0.
+    g^2 = 1/(1+|alpha|^2).  Collapses to 1/2 at s = 0.  Raises
+    :class:`NonPositiveNorm` if any inverse is <= 0 (a NaN passes);
+    see :func:`evaluate_points` for overflow.
     """
-    validate(params)
-    inv = _inverse_kappa_sq(params.alpha, params.s, weak_value(params.delta, params.phi))
-    if inv <= 0.0:
-        raise NonPositiveNorm(f"printed normalisation expression is {inv} at {params}")
+    g2 = _gamma_sq(alpha)
+    bracket = (1.0 / g2) - s * s + alpha * s - alpha.conjugate() * s
+    cross = (1 + w.conjugate()) * (1 - w) * bracket * np.exp(2j * s * alpha.imag)
+    inv = 1.0 + abs(w) ** 2 + g2 * np.exp(-s * s / 2.0) * cross.real
+    bad = np.flatnonzero(inv <= 0.0)
+    if bad.size:
+        raise NonPositiveNorm(f"printed normalisation expression is {inv[bad[0]]}")
     return 1.0 / inv
 
 
+def printed_kappa_sq(params: ExperimentParams) -> float:
+    """:func:`printed_kappa_sq_columns` at one point."""
+    return evaluate_points("printed_kappa_sq", printed_kappa_sq_columns, lambda j: params, *point_columns(params)).item()
+
+
 # --- helper functions, one per printed symbol ------------------------------
-# All take the coherent amplitude and the signed coupling, as numbers or
-# as arrays of one entry per point; gamma^2 is rebuilt inside each helper
-# exactly as the factors appear in print.
+# All take the coherent amplitude and the signed coupling as arrays of one
+# entry per point; gamma^2 is rebuilt inside each helper exactly as the
+# factors appear in print.
 
 
 def t1(alpha: complex, s: float) -> float:
@@ -151,7 +149,7 @@ def t3(alpha: complex, s: float) -> complex:
         - 16 * alpha * s
         + 4
     )
-    return 0.25 * g2 * _exp(2j * s * alpha.imag) * _exp(-s * s / 2.0) * poly
+    return 0.25 * g2 * np.exp(2j * s * alpha.imag) * np.exp(-s * s / 2.0) * poly
 
 
 def w1(alpha: complex, s: float) -> complex:
@@ -165,7 +163,7 @@ def w1(alpha: complex, s: float) -> complex:
         - 3 * alpha * s * s
         - 3 * s
     )
-    return 0.5 * _exp(2j * s * alpha.imag) * _exp(-s * s / 2.0) * poly
+    return 0.5 * np.exp(2j * s * alpha.imag) * np.exp(-s * s / 2.0) * poly
 
 
 def q1(alpha: complex, s: float) -> complex:
@@ -187,7 +185,7 @@ def q2(alpha: complex, s: float) -> complex:
         - 3 * alpha * s * s
         - 5 * s
     )
-    return -0.25 * _exp(2j * s * alpha.imag) * _exp(-s * s / 2.0) * g2 * (s - 2 * alpha) * poly
+    return -0.25 * np.exp(2j * s * alpha.imag) * np.exp(-s * s / 2.0) * g2 * (s - 2 * alpha) * poly
 
 
 def f1(alpha: complex, s: float) -> float:
@@ -219,7 +217,7 @@ def f3(alpha: complex, s: float) -> complex:
         + 3 * s * ac * (s - 2 * alpha) * (s - alpha)
         + 28j * s * alpha.imag
         + s * s * (2 * alpha * alpha + s * s - 3 * alpha * s - 9)
-        + 16 * _exp(-0.5 * s * (s - 4j * alpha.imag))
+        + 16 * np.exp(-0.5 * s * (s - 4j * alpha.imag))
     )
     return -g2 / 16.0 * (s - 2 * alpha) * (2 * ac + s) * inner
 
@@ -247,16 +245,24 @@ def h2(alpha: complex, s: float) -> complex:
         - 3 * alpha * s * s
         - 9 * s
     )
-    return -g2 / 16.0 * _exp(2j * s * alpha.imag) * _exp(-s * s / 2.0) * (s - 2 * alpha) ** 3 * poly
+    return -g2 / 16.0 * np.exp(2j * s * alpha.imag) * np.exp(-s * s / 2.0) * (s - 2 * alpha) ** 3 * poly
 
 
-def _moment_terms(alpha: complex, s: float, w: complex, k2: float) -> tuple:
-    """The printed m_a, m_a2, m_a4, n_mean and m_a2d2, given kappa^2.
+def printed_moment_columns(alpha, s, w) -> PrintedMomentSet:
+    """The five printed moments and kappa^2 over columns of alpha, s and the weak value w.
 
-    Combines the helpers with the printed branch weights
+    Each field holds one entry per point; the points must already be
+    valid.  Combines the helpers with the printed branch weights
     |1+w|^2, |1-w|^2 and the (1+-w)(1-+w)* cross coefficients, scaled
-    by the printed kappa^2.
+    by the printed kappa^2.  Values are returned exactly as the text
+    gives them; the audit harness owns any comparison to the oracle.
+    Evaluate it through :func:`evaluate_points` to have an overflow
+    raise and a failure name its point.
     """
+    alpha, s, w = np.broadcast_arrays(
+        np.asarray(alpha, dtype=np.complex128), np.asarray(s, dtype=np.float64), np.asarray(w, dtype=np.complex128)
+    )
+    k2 = printed_kappa_sq_columns(alpha, s, w)
     g2 = _gamma_sq(alpha)
     dp = abs(1 + w) ** 2
     dm = abs(1 - w) ** 2
@@ -283,52 +289,13 @@ def _moment_terms(alpha: complex, s: float, w: complex, k2: float) -> tuple:
 
     m_a4 = k2 * (dp * h1(alpha, s) + dm * h1(alpha, -s) + cmp_.conjugate() * h2(alpha, s) + cmp_ * h2(alpha, -s))
 
-    return m_a, m_a2, m_a4, n_mean, m_a2d2
+    return PrintedMomentSet(m_a, m_a2, m_a4, n_mean, m_a2d2, kappa_sq=k2)
 
 
-@_overflow_is_numerical
 def printed_moments(params: ExperimentParams) -> PrintedMomentSet:
-    """All five printed moments of the conditioned pointer state.
-
-    Values are returned exactly as the text gives them; the audit
-    harness owns any comparison to the oracle.
-    """
-    validate(params)
-    k2 = printed_kappa_sq(params)
-    m_a, m_a2, m_a4, n_mean, m_a2d2 = _moment_terms(
-        params.alpha, params.s, weak_value(params.delta, params.phi), k2
-    )
-    return PrintedMomentSet(
-        m_a=complex(m_a),
-        m_a2=complex(m_a2),
-        m_a4=complex(m_a4),
-        n_mean=float(n_mean),
-        m_a2d2=float(m_a2d2),
-        kappa_sq=k2,
-    )
-
-
-@_overflow_is_numerical
-def printed_moment_columns(alpha, s, w) -> PrintedMomentSet:
-    """:func:`printed_moments` over columns of alpha, s and the weak value w.
-
-    Each field holds one entry per point; the points must already be
-    valid.  The expressions are those of the scalar form, evaluated with
-    numpy, so values agree with it to rounding (within 1e-13 relative
-    on the figure grids), not bit for bit.  Raises
-    :class:`NumericalOverflow` if any expression overflows a double and
-    :class:`NonPositiveNorm` if any normalisation is <= 0; neither names
-    the point, which the scalar form does.
-    """
-    alpha, s, w = np.broadcast_arrays(
-        np.asarray(alpha, dtype=np.complex128), np.asarray(s, dtype=np.float64), np.asarray(w, dtype=np.complex128)
-    )
-    inv = _inverse_kappa_sq(alpha, s, w)
-    bad = np.flatnonzero(inv <= 0.0)  # a NaN passes, as in the scalar form
-    if bad.size:
-        raise NonPositiveNorm(f"printed normalisation expression is {inv[bad[0]]} at column {bad[0]}")
-    k2 = 1.0 / inv
-    return PrintedMomentSet(*_moment_terms(alpha, s, w, k2), kappa_sq=k2)
+    """:func:`printed_moment_columns` at one point, as Python numbers."""
+    columns = evaluate_points("printed_moments", printed_moment_columns, lambda j: params, *point_columns(params))
+    return PrintedMomentSet(*(field.item() for field in vars(columns).values()))
 
 
 def _w_helper(alpha: complex, s: float, z: complex) -> float:
@@ -341,40 +308,39 @@ def _w_helper(alpha: complex, s: float, z: complex) -> float:
     """
     shifted = abs(2 * z - alpha) ** 2
     return (
-        _exp(-s * s / 2.0 - 2.0 * (alpha.real - z.real) * s - 2.0 * abs(z - alpha) ** 2)
+        np.exp(-s * s / 2.0 - 2.0 * (alpha.real - z.real) * s - 2.0 * abs(z - alpha) ** 2)
         * (-1.0 + shifted + 2 * s * (alpha.real - 2 * z.real + s / 2.0))
     )
 
 
-def _wigner(alpha: complex, s: float, w: complex, k2: float, z: complex) -> float:
-    """The printed Wigner function at z, a point or an array of points, given kappa^2."""
-    cross = (1 + w).conjugate() * (1 - w) * _exp(2j * s * z.imag)
-    brace = (
-        abs(1 + w) ** 2 * _w_helper(alpha, s, z)
-        + abs(1 - w) ** 2 * _w_helper(alpha, -s, z)
-        + 2.0 * (-1.0 + abs(2 * z - alpha) ** 2) * cross.real * _exp(-2.0 * abs(z - alpha) ** 2)
-    )
-    prefactor = 2.0 * k2 / (math.pi * (1.0 + abs(alpha) ** 2))
-    return prefactor * brace
-
-
-@_overflow_is_numerical
-def printed_wigner(params: ExperimentParams, z: complex) -> float:
-    """Closed-form Wigner function exactly as printed."""
-    validate(params)
-    z = complex(z)
-    w = weak_value(params.delta, params.phi)
-    return _wigner(params.alpha, params.s, w, printed_kappa_sq(params), z)
-
-
-@_overflow_is_numerical
 def printed_wigner_values(params: ExperimentParams, zs: np.ndarray) -> np.ndarray:
-    """:func:`printed_wigner` term for term over an array of points (any shape).
+    """Closed-form Wigner function exactly as printed, at an array of points (any shape).
 
-    Overflow raises :class:`NumericalOverflow`, as in the scalar form,
-    rather than leaving inf * 0 = NaN in the result.
+    Overflow raises :class:`NumericalOverflow` naming the point (see
+    :func:`evaluate_points`) rather than leaving inf * 0 = NaN in the
+    result.
     """
-    validate(params)
-    zs = np.asarray(zs, dtype=np.complex128)
-    w = weak_value(params.delta, params.phi)
-    return _wigner(params.alpha, params.s, w, printed_kappa_sq(params), zs)
+    z = np.asarray(zs, dtype=np.complex128).ravel()  # a 0-d z would take numpy's scalar arithmetic, which rounds differently
+    columns = point_columns(params)
+    # kappa^2 is a one-entry column, as for the moments; the other parameter
+    # terms stay Python numbers, which keeps the printed panels' values
+    # (numpy's complex abs differs from CPython's in the last bit)
+    alpha, s, w = params.alpha, params.s, weak_value(params.delta, params.phi)
+
+    def wigner(*point):
+        k2 = printed_kappa_sq_columns(*point)
+        cross = (1 + w).conjugate() * (1 - w) * np.exp(2j * s * z.imag)
+        brace = (
+            abs(1 + w) ** 2 * _w_helper(alpha, s, z)
+            + abs(1 - w) ** 2 * _w_helper(alpha, -s, z)
+            + 2.0 * (-1.0 + abs(2 * z - alpha) ** 2) * cross.real * np.exp(-2.0 * abs(z - alpha) ** 2)
+        )
+        prefactor = 2.0 * k2 / (math.pi * (1.0 + abs(alpha) ** 2))
+        return prefactor * brace
+
+    return evaluate_points("printed_wigner_values", wigner, lambda j: params, *columns).reshape(np.shape(zs))
+
+
+def printed_wigner(params: ExperimentParams, z: complex) -> float:
+    """:func:`printed_wigner_values` at one phase-space point."""
+    return printed_wigner_values(params, complex(z)).item()

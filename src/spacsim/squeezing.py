@@ -16,7 +16,7 @@ import numpy as np
 
 from .fock import MomentSet, PointerColumns, column_moments, pointer_column
 from .params import ExperimentParams
-from .printed import PrintedMomentSet, printed_moments
+from .printed import PrintedMomentSet, evaluate_points, point_columns, printed_moment_columns
 
 Moments = MomentSet | PrintedMomentSet
 
@@ -73,16 +73,31 @@ def column_report(cols: PointerColumns) -> SqueezingReport:
     return report_from_moments(column_moments(cols.final), fid)
 
 
+def printed_column_report(alpha, s, w, point) -> SqueezingReport:
+    """Reports of the printed closed forms over columns of points, one array entry per point.
+
+    The printed forms give no fidelity, reported as NaN.  Moments and
+    witnesses are evaluated through :func:`~spacsim.printed.evaluate_points`,
+    so a failure names ``point(j)`` of the first failing point.
+    """
+
+    def report(alpha, s, w):
+        return report_from_moments(printed_moment_columns(alpha, s, w), np.full(alpha.shape, math.nan))
+
+    return evaluate_points("printed_moments", report, point, alpha, s, w)
+
+
 def point_report(params: ExperimentParams, backend: str = "oracle") -> SqueezingReport:
     """Full squeezing report for one parameter point.
 
     The oracle backend builds the conditioned pointer state and measures
-    it; the printed backend evaluates the published closed forms (which
-    give no fidelity, reported as NaN).
+    it; the printed backend evaluates the published closed forms.  Both
+    are their column forms at one entry.
     """
     if backend == "oracle":
         batch = column_report(pointer_column(params))
-        return SqueezingReport(*(field.item() for field in vars(batch).values()))
-    if backend == "printed":
-        return report_from_moments(printed_moments(params), math.nan)
-    raise ValueError(f"unknown backend {backend!r}")
+    elif backend == "printed":
+        batch = printed_column_report(*point_columns(params), lambda j: params)
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    return SqueezingReport(*(field.item() for field in vars(batch).values()))

@@ -14,7 +14,8 @@ sends consecutive blocks of them through
 branches once per value for all its angles.  A point whose state fails
 the truncation tail check becomes a row error marker while the sweep
 carries on; any other error propagates.  The printed backend evaluates
-the closed forms over the whole column at once.  :func:`sweep_s`,
+the closed forms over the whole column at once; if one fails, the
+error names the first failing point.  :func:`sweep_s`,
 :func:`sweep_r` and :func:`fidelity_table` turn the columns into
 :class:`SweepRow` objects.
 """
@@ -27,11 +28,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NonPositiveNorm, TruncationTooSmall
+from .errors import TruncationTooSmall
 from .fock import pointer_columns
 from .params import ExperimentParams, check_fields, validate, weak_value
-from .printed import printed_moment_columns
-from .squeezing import SqueezingReport, column_report, point_report, report_from_moments
+from .squeezing import SqueezingReport, column_report, printed_column_report
 
 #: Default grid step for both sweep kinds; smooth curves at O(N) cost per point.
 DEFAULT_STEP = 0.02
@@ -155,14 +155,10 @@ def sweep_columns(
             for row, e in zip(block.tolist(), cols.errors):
                 errors[row] = f"{TruncationTooSmall.__name__}: {e}" if e else ""
     else:
-        try:
-            with np.errstate(over="raise"):
-                report = report_from_moments(printed_moment_columns(alpha, s, w), np.full(n, math.nan))
-        except (ArithmeticError, NonPositiveNorm):
-            # row by row, the scalar closed forms raise for the first failing point and name it
-            swept_values = (r if swept == "r" else s).tolist()
-            reports = [point_report(base.with_(phi=a, **{swept: v}), "printed") for a, v in zip(phi.tolist(), swept_values)]
-            report = SqueezingReport(*map(np.array, zip(*(vars(one).values() for one in reports))))
+        swept_values = r if swept == "r" else s
+        report = printed_column_report(
+            alpha, s, w, lambda j: base.with_(phi=phi[j].item(), **{swept: swept_values[j].item()})
+        )
     return SweepColumns(phi=phi, r=r, s=s, report=report, errors=tuple(errors))
 
 
@@ -171,14 +167,8 @@ def sweep_s(
     phis: tuple[float, ...] = DEFAULT_PHIS,
     s_range: tuple[float, float, float] = (0.0, 4.0, DEFAULT_STEP),
     backend: str = "oracle",
-    workers: int = 1,
 ) -> list[SweepRow]:
-    """Sweep the coupling ratio at fixed amplitude, one curve per angle.
-
-    ``workers`` is accepted, so that old callers and manifests still
-    work, and ignored: a block of columns is a handful of array
-    operations.
-    """
+    """Sweep the coupling ratio at fixed amplitude, one curve per angle."""
     validate(base)
     return sweep_columns(base, "s", grid_values(*s_range), phis, backend).rows()
 

@@ -128,8 +128,8 @@ def wigner_point(state: FockVector, z: complex) -> float:
     return float(_parity_values(state, np.array([-complex(z)]))[0])
 
 
-def wigner_values(state: FockVector, zs: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Wigner function at every point of ``zs`` (any shape); ``workers`` is ignored."""
+def wigner_values(state: FockVector, zs: np.ndarray) -> np.ndarray:
+    """Wigner function at every point of ``zs`` (any shape)."""
     zs = np.asarray(zs, dtype=np.complex128)
     flat = _parity_values(state, -zs.ravel())
     return flat.reshape(zs.shape)
@@ -182,7 +182,7 @@ def wigner_grid_values(
     ``xs`` must be an increasing uniform grid (any ``linspace``); ``ps``
     may be any finite points, in any order and with repeats.
     Position-representation route, see the module docstring; ``workers``
-    is accepted for call compatibility and ignored.
+    is ignored, and kept because the benchmark's speedup probe passes it.
 
     Raises TruncationTooSmall when psi is not negligible at the ends
     of the y range, which would cut off part of the integral.
@@ -262,13 +262,11 @@ def _midpoint_axis(half_width: float, step: float) -> np.ndarray:
     return -half_width + (np.arange(count) + 0.5) * step
 
 
-def wigner_normalization(
-    state: FockVector, half_width: float = 6.0, step: float = 0.05, workers: int = 1
-) -> tuple[float, np.ndarray]:
+def wigner_normalization(state: FockVector, half_width: float = 6.0, step: float = 0.05) -> tuple[float, np.ndarray]:
     """Midpoint-rule integral of the Wigner function over a centred box.
 
     Returns the integral (1 for any state whose phase-space support fits
-    the box) together with the sampled cell values; ``workers`` is ignored.
+    the box) together with the sampled cell values.
     """
     centers = _midpoint_axis(half_width, step)
     values = wigner_grid_values(state, centers, centers)
@@ -338,11 +336,10 @@ class CharacteristicFunctionGrid:
     Precomputes <D(lambda)> on a midpoint grid over
     [-cutoff, cutoff]^2 once; each Wigner evaluation is then a cheap
     Fourier sum over the stored samples.  Useful when several
-    phase-space points are checked against the same state.  ``workers``
-    is ignored.
+    phase-space points are checked against the same state.
     """
 
-    def __init__(self, state: FockVector, cutoff: float = 6.0, res: float = 0.04, workers: int = 1):
+    def __init__(self, state: FockVector, cutoff: float = 6.0, res: float = 0.04):
         self.centers = _midpoint_axis(cutoff, res)
         self.cutoff = float(cutoff)
         self.res = float(res)

@@ -114,7 +114,7 @@ def test_criterion_4_wigner_validity():
     for r in PANEL_R:
         for s in PANEL_S:
             state = final_pointer_state(FIGURE_PRESET.with_(r=r, s=s))
-            integral, values = wigner_normalization(state, half_width=6.0, step=0.05, workers=2)
+            integral, values = wigner_normalization(state, half_width=6.0, step=0.05)
             assert np.all(values >= -BOUND - 1e-9), f"panel r={r} s={s} below -2/pi"
             assert np.all(values <= BOUND + 1e-9), f"panel r={r} s={s} above 2/pi"
             assert abs(integral - 1.0) <= 1e-3, f"panel r={r} s={s} integral {integral}"
@@ -125,7 +125,7 @@ def test_criterion_4_wigner_validity():
 
 def test_criterion_5_wigner_algorithm_cross_check():
     state = final_pointer_state(FIGURE_PRESET)
-    char = CharacteristicFunctionGrid(state, cutoff=6.0, res=0.04, workers=2)
+    char = CharacteristicFunctionGrid(state, cutoff=6.0, res=0.04)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for x, p in rng.uniform(-2, 2, size=(5, 2)):

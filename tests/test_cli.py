@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 import spacsim
-import spacsim.sweeps
 from spacsim.cli import build_parser, main
 from spacsim.errors import SpacsimError
 from spacsim.fock import final_pointer_state, pointer_column
 from spacsim.io import WignerGrid, csv_round_trips, load_manifest, read_csv, write_csv
 from spacsim.params import FIGURE_PRESET, MAX_TRUNC
 from spacsim.printed import printed_moments, printed_wigner_values
-from spacsim.squeezing import point_report
 from spacsim.sweeps import DEFAULT_PHIS, FIDELITY_COUPLINGS, fidelity_table, grid_values, sweep_r, sweep_s
 from spacsim.wigner import wigner_grid_values
 
@@ -347,6 +345,20 @@ class TestColumnarSweeps:
         assert capsys.readouterr().err == f"spacsim: numerical failure: {self.point_failure(printed_moments, first)}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("angles", [None, _DRAWN_ANGLES], ids=["preset", "drawn"])
+    @pytest.mark.parametrize("command", ["fig1a", "fig1b"])
+    def test_printed_point_prints_its_sweep_row(self, command, angles, tmp_path, capsys):
+        """A printed point is the sweep's column form at one entry, so it prints the row's values bit for bit."""
+        out = tmp_path / "out.csv"
+        scenario = ["--theta", repr(angles[0]), "--delta", repr(angles[1])] if angles else []
+        assert run(command, "--backend", "printed", *scenario, "--out", str(out)) == 0
+        header, rows = read_csv(out)
+        for row in random.Random(command).sample(rows, 16):
+            assert run("point", "--backend", "printed", *scenario, "--phi", repr(row[0]), f"--{header[1]}", repr(row[1])) == 0
+            printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+            values = [float(printed[name]) for name in _REPORT_FIELDS]
+            np.testing.assert_array_equal(values, row[2:], err_msg=f"{command} row {row[:2]}")
+
     def test_truncation_failure_names_the_first_failing_row(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         assert run("fig1b", "--trunc", "8", "--out", str(out)) == 3
@@ -444,10 +456,11 @@ def test_overflowing_amplitude_prints_no_warning():
     "argv",
     [
         ["point", "--backend", "printed", "--s", "1e200"],
+        ["point", "--backend", "printed", "--s", "1e62"],
         ["fig1b", "--backend", "printed", "--s", "1e200", "--r-max", "0", "--out", "f.csv"],
         ["wigner", "--backend", "printed", "--s", "1e200", "--out", "w.csv"],
     ],
-    ids=["point", "fig1b", "wigner"],
+    ids=["point", "point-1e62", "fig1b", "wigner"],
 )
 def test_printed_overflow_is_one_line_numerical_failure(argv, tmp_path):
     done = _spacsim_subprocess(*(str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv))
@@ -587,25 +600,14 @@ class TestGridCaps:
         assert not out.exists() and not Path(str(out) + ".manifest").exists()
 
 
-def test_printed_sweep_falls_back_to_the_scalar_forms(tmp_path, monkeypatch):
-    """At s = 1e62 the column forms overflow and every scalar form succeeds, so each row is one point_report."""
-    calls = []
-
-    def counted(params, backend="oracle"):
-        calls.append(params)
-        return point_report(params, backend)
-
-    monkeypatch.setattr(spacsim.sweeps, "point_report", counted)
-    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-    assert run("fig1a", "--backend", "printed", "--s-max", "1e62", "--s-step", "1e62", "--out", str(out)) == 0
-    assert len(calls) == 8
-    rows = []
-    for phi in DEFAULT_PHIS:
-        for s in (0.0, 1e62):
-            report = point_report(FIGURE_PRESET.with_(phi=phi, s=s), "printed")
-            rows.append([phi, s] + [getattr(report, name) for name in _REPORT_FIELDS])
-    write_csv(ref, ["phi", "s", "s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity"], rows)
-    assert out.read_bytes() == ref.read_bytes()
+def test_printed_sweep_overflow_names_its_first_failing_row(tmp_path, capsys):
+    """At s = 1e62 the printed moments overflow a double; the sweep fails as printed_moments does for that row."""
+    out = tmp_path / "never.csv"
+    assert run("fig1a", "--backend", "printed", "--s-max", "1e62", "--s-step", "1e62", "--out", str(out)) == 3
+    first = FIGURE_PRESET.with_(phi=DEFAULT_PHIS[0], s=1e62)
+    message = TestColumnarSweeps.point_failure(printed_moments, first)
+    assert capsys.readouterr().err == f"spacsim: numerical failure: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestUnwritableOut:

@@ -12,10 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from spacsim.errors import NumericalOverflow
+from spacsim.errors import NonPositiveNorm, NumericalOverflow
 from spacsim.fock import final_pointer_state, moments, oracle_kappa_sq, spacs
 from spacsim.params import FIGURE_PRESET, ExperimentParams, weak_value
 from spacsim.printed import (
+    evaluate_points,
     printed_kappa_sq,
     printed_moment_columns,
     printed_moments,
@@ -116,17 +117,30 @@ class TestPrintedMomentColumns:
                 ref = printed_moments(base.with_(phi=phi, **{swept: value}))
                 for name in self.FIELDS:
                     want = getattr(ref, name)
-                    assert abs(getattr(columns, name)[j] - want) <= 1e-13 * max(1.0, abs(want)), (phi, value, name)
+                    assert getattr(columns, name)[j] == want, (phi, value, name)
 
     def test_overflow_is_numerical(self):
-        with pytest.raises(NumericalOverflow, match="overflows a double"):
-            printed_moment_columns(np.array([1.0, 1e200]), 0.5, weak_value(0.5, 1.0))
+        columns = np.array([1.0, 1e200], dtype=complex), np.full(2, 0.5), np.full(2, weak_value(0.5, 1.0))
+        with pytest.raises(NumericalOverflow, match="^printed_moments: .* overflows a double at row 1: "):
+            evaluate_points("printed_moments", printed_moment_columns, "row {}".format, *columns)
 
-    def test_overflow_message_of_a_long_column_is_short(self):
+    def test_overflow_of_a_long_column_names_its_first_failing_point(self):
+        # |alpha|^2 overflows from the second entry on, about 1.2e197
         alpha = np.linspace(0.0, 1e200, 804) * np.exp(0.25j * math.pi)
-        with pytest.raises(NumericalOverflow, match="overflows a double") as raised:
-            printed_moment_columns(alpha, 0.5, weak_value(0.5, 1.0))
-        assert len(str(raised.value)) < 300
+        columns = alpha, np.full(alpha.size, 0.5), np.full(alpha.size, weak_value(0.5, 1.0))
+        with pytest.raises(NumericalOverflow) as raised:
+            evaluate_points("printed_moments", printed_moment_columns, "row {}".format, *columns)
+        assert " at row 1: " in str(raised.value) and len(str(raised.value)) < 300
+
+    def test_non_positive_norm_names_its_point(self):
+        def inverse(values):
+            bad = np.flatnonzero(values <= 0.0)
+            if bad.size:
+                raise NonPositiveNorm(f"printed normalisation expression is {values[bad[0]]}")
+            return values
+
+        with pytest.raises(NonPositiveNorm, match="^printed normalisation expression is -0.5 at row 1$"):
+            evaluate_points("printed_kappa_sq", inverse, "row {}".format, np.array([1.0, -0.5, 0.0]))
 
 
 class TestPrintedWigner:
@@ -161,5 +175,4 @@ class TestPrintedWigner:
         values = printed_wigner_values(p, zs)
         assert values.shape == zs.shape
         for z, v in zip(zs.ravel(), values.ravel()):
-            ref = printed_wigner(p, z)
-            assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
+            assert v == printed_wigner(p, z)

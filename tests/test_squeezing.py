@@ -109,11 +109,6 @@ class TestSweeps:
         assert rows[0].error != ""
         assert "TruncationTooSmall" in rows[0].error
 
-    def test_workers_do_not_change_rows(self):
-        serial = sweep_s(FIGURE_PRESET, s_range=(0.0, 1.0, 0.1), workers=1)
-        threaded = sweep_s(FIGURE_PRESET, s_range=(0.0, 1.0, 0.1), workers=4)
-        assert serial == threaded
-
     def test_witness_sign_stability_between_truncations(self):
         """Signs at dim 96 and 128 agree away from zero crossings."""
         rows96 = sweep_s(FIGURE_PRESET.with_(trunc=96), s_range=(0.0, 4.0, 0.5))

@@ -71,13 +71,6 @@ class TestDisplacedParity:
         single = np.array([wigner_point(state, z) for z in zs])
         assert np.max(np.abs(batch - single)) <= 1e-14
 
-    def test_workers_do_not_change_values(self):
-        state = final_pointer_state(FIGURE_PRESET)
-        zs = np.linspace(-2, 2, 40) + 1j * np.linspace(-1, 1, 40)
-        serial = wigner_values(state, zs, workers=1)
-        threaded = wigner_values(state, zs, workers=4)
-        assert np.array_equal(serial, threaded)
-
 
 class TestPositionRepresentationGrid:
     @pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
@@ -142,7 +135,7 @@ class TestQuadratureCrossCheck:
     def test_agrees_with_parity_on_figure_state(self):
         """Two independent algorithms for the same transform."""
         state = final_pointer_state(FIGURE_PRESET)
-        char = CharacteristicFunctionGrid(state, cutoff=6, res=0.04, workers=2)
+        char = CharacteristicFunctionGrid(state, cutoff=6, res=0.04)
         rng = np.random.default_rng(42)
         for x, p in rng.uniform(-2, 2, size=(5, 2)):
             z = complex(x, p)

@@ -16,16 +16,16 @@ the preset angles), then ``fig2b``, the printed far-field Wigner panel,
 an audit subset at other angles, ``rerun`` of the first manifest, a
 sweep and a Wigner grid with ``--workers`` above 1, printed-backend
 sweeps of every kind and an oracle sweep at other angles, the help and
-version texts, three printed-backend overflows, an overflow part way
-along a printed sweep, a negative swept value and a truncation too
-small for some rows.  Then come the rarer layouts of the CSV
-number formatter: a Wigner grid whose axis values have long texts, a
-large-truncation sweep with values above 100, a fine audit grid, and a
-printed coupling sweep whose fidelity column is all ``nan``.  Next
-come a printed sweep whose column forms overflow and whose scalar
-forms all succeed, a Wigner grid with a single x value, and an
-``--out`` that is an existing directory.  Five oracle sweeps probe the
-edges of the block partition (max(1, 32768 // trunc) points per
+version texts, a printed point, three printed-backend overflows, an
+overflow part way along a printed sweep, a negative swept value and a
+truncation too small for some rows.  Then come the rarer layouts of
+the CSV number formatter: a 267 x 267 Wigner grid whose axis values
+have long texts, a large-truncation sweep with values above 100, a
+fine audit grid, and a printed coupling sweep whose fidelity column is
+all ``nan``.  Next come a printed sweep and a printed point at
+s = 1e62, where a complex product in the printed moments overflows a
+double, a Wigner grid with a single x value, and an ``--out`` that is
+an existing directory.  Five oracle sweeps probe the edges of the block partition (max(1, 32768 // trunc) points per
 block): 73-point blocks with a last block of one row, one-point
 blocks, three-point blocks that split a value's angles, a single
 coupling value at four angles, and a repeated angle.  A Wigner grid
@@ -75,7 +75,7 @@ def cases() -> list[tuple[list[str], bool]]:
         ["fig1b", "--backend", "printed", "--r-max", "1e200", "--r-step", "1e198"],
         ["fig1a", "--s-min", "-1"],
         ["fig1b", "--trunc", "8"],
-        ["wigner", "--grid-step", "0.03", "--x-min", "-3.99", "--x-max", "3.99"],
+        ["wigner", "--grid-step", "0.03", "--x-min", "-3.99", "--x-max", "3.99", "--p-min", "-3.99", "--p-max", "3.99"],
         ["fig1b", "--r-max", "30", "--trunc", "2048"],
         ["audit", "--wigner-step", "0.1"],
         ["fig2a", "--backend", "printed", "--phis", "0.3,2.9"],
@@ -89,7 +89,9 @@ def cases() -> list[tuple[list[str], bool]]:
         ["wigner", "--r", "1", "--s", "2", "--p-min", "-1.0", "--p-max", "3.0", "--x-min", "-2.0", "--x-max", "2.0"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
+    printing.append(["point", "--backend", "printed"])
     printing.append(["point", "--backend", "printed", "--s", "1e200"])
+    printing.append(["point", "--backend", "printed", "--s", "1e62"])
     printing.append(["fig1a", "--out", EXISTING_DIR])
     return [(argv, True) for argv in writing] + [(argv, False) for argv in printing]
 
