@@ -268,6 +268,12 @@ def displace(beta: complex, state: FockVector) -> FockVector:
     return _as_state(displaced_columns(state, np.array([beta]))[:, 0], f"displace({beta})")
 
 
+def row_keys(*columns: np.ndarray) -> np.ndarray:
+    """One raw-bytes scalar per row of float64 columns: np.unique over these is several times cheaper than axis=0."""
+    key = np.stack(columns, axis=1)
+    return key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).reshape(-1)
+
+
 @dataclass(frozen=True)
 class PointerColumns:
     """Initial and postselected pointer states of a batch of points, one column each.
@@ -317,11 +323,8 @@ def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
     # single column pairwise, so a column's bits depend only on whether its
     # block has one column or several: a block of several columns with one
     # distinct point builds it over two.
-    bits = np.stack([alphas.real, alphas.imag, s], axis=1)
     gathers = []
-    for key in (np.ascontiguousarray(bits[:, :2]), bits):
-        # one raw-bytes scalar per row: np.unique over those is several times cheaper than with axis=0
-        rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).reshape(-1)
+    for rows in (row_keys(alphas.real, alphas.imag), row_keys(alphas.real, alphas.imag, s)):
         _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         gathers.append((np.repeat(first, 2) if first.size == 1 < alphas.size else first, inverse))
     (first, inverse), (pair, pair_inverse) = gathers

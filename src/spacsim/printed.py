@@ -65,23 +65,36 @@ def evaluate_points(name: str, evaluate: Callable, point: Callable[[int], object
 
     The columns are 1-D arrays of one length, one entry per point.  If
     a double overflows or a printed normalisation is <= 0 anywhere, the
-    points are evaluated again one at a time, in order, in the same
-    arithmetic, and the first that fails raises
-    :class:`NumericalOverflow` or :class:`NonPositiveNorm` naming
-    ``point(j)``, its parameters.  ``name`` heads the overflow message.
+    first failing point is found by halving a window of points that
+    holds it, in the same arithmetic: a point fails or not on its own,
+    so a window fails exactly when it holds a failing point.  That
+    point, evaluated alone, raises :class:`NumericalOverflow` or
+    :class:`NonPositiveNorm` naming ``point(j)``, its parameters.
+    ``name`` heads the overflow message.
     """
+
+    def fails(lo: int, hi: int) -> bool:
+        try:
+            evaluate(*(column[lo:hi] for column in columns))
+        except (FloatingPointError, NonPositiveNorm):
+            return True
+        return False
+
     with np.errstate(over="raise"):
         try:
             return evaluate(*columns)
         except (FloatingPointError, NonPositiveNorm) as exc:
             failure = exc
-        for j in range(len(columns[0])):
-            try:
-                evaluate(*(column[j : j + 1] for column in columns))
-            except FloatingPointError as exc:
-                raise NumericalOverflow(f"{name}: the printed expression overflows a double at {point(j)}: {exc}") from exc
-            except NonPositiveNorm as exc:
-                raise NonPositiveNorm(f"{exc} at {point(j)}") from exc
+        lo, hi = 0, len(columns[0])  # the first failing point is in [lo, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if fails(lo, mid) else (mid, hi)
+        try:
+            evaluate(*(column[lo:hi] for column in columns))
+        except FloatingPointError as exc:
+            raise NumericalOverflow(f"{name}: the printed expression overflows a double at {point(lo)}: {exc}") from exc
+        except NonPositiveNorm as exc:
+            raise NonPositiveNorm(f"{exc} at {point(lo)}") from exc
     raise failure  # not reached: a point alone fails as it does in its column
 
 

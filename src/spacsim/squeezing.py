@@ -67,9 +67,12 @@ def report_from_moments(m: Moments, fidelity_to_initial: float) -> SqueezingRepo
 def column_report(cols: PointerColumns) -> SqueezingReport:
     """Reports of every column of a pointer batch, one array entry per column.
 
-    A failed column reports NaN.
+    A failed column reports NaN.  A column whose final state is its
+    initial state bit for bit (s = 0) has fidelity exactly 1, which the
+    summed overlap can miss in the last bit.
     """
     fid = np.abs(np.sum(cols.initial.conj() * cols.final, axis=0)) ** 2
+    fid[(cols.initial == cols.final).all(axis=0)] = 1.0
     return report_from_moments(column_moments(cols.final), fid)
 
 

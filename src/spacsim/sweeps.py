@@ -5,19 +5,20 @@ across a uniform grid for several postselection angles and collects a
 squeezing report per point.  Rows are emitted in a fixed order
 (angle outer, swept parameter inner).
 
-:func:`sweep_columns` is the one evaluation path: it checks the
-points' fields without building a parameter point per row, and keeps
-every report field as one array over the rows.  The oracle backend
-takes the rows value by value, each value's angles side by side, and
+:func:`report_columns` evaluates 1-D columns of valid points in any
+order, one array per report field, in input order.  The oracle backend
+groups the points by (alpha, s), in order of first appearance (on a
+figure grid: value by value, each value's angles side by side), and
 sends consecutive blocks of them through
 :func:`~spacsim.fock.pointer_columns`, which builds the displaced
-branches once per value for all its angles.  A point whose state fails
-the truncation tail check becomes a row error marker while the sweep
-carries on; any other error propagates.  The printed backend evaluates
-the closed forms over the whole column at once; if one fails, the
-error names the first failing point.  :func:`sweep_s`,
-:func:`sweep_r` and :func:`fidelity_table` turn the columns into
-:class:`SweepRow` objects.
+branches once per pair for all its angles.  A point whose state fails
+the truncation tail check becomes a row error marker while the
+evaluation carries on; any other error propagates.  The printed
+backend evaluates the closed forms over all points at once; if one
+fails, the error names the first failing point.  :func:`sweep_columns`
+checks a figure grid's fields and lays it out for one call;
+:func:`sweep_s`, :func:`sweep_r` and :func:`fidelity_table` turn the
+columns into :class:`SweepRow` objects.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .fock import pointer_columns
+from .fock import pointer_columns, row_keys
 from .params import ExperimentParams, check_fields, validate, weak_value
 from .squeezing import SqueezingReport, column_report, printed_column_report
 
@@ -111,6 +112,35 @@ class SweepColumns:
         ]
 
 
+def report_columns(alpha, s, w, trunc: int, backend: str, point) -> tuple[SqueezingReport, tuple[str, ...]]:
+    """Reports and row errors of 1-D columns of valid points in any order, both in input order.
+
+    The oracle groups the points by (alpha, s), in order of first
+    appearance, and builds consecutive blocks of max(1,
+    BLOCK_ELEMENTS // trunc) of them through :func:`pointer_columns`; a
+    row error is prefixed ``TruncationTooSmall: ``.  The printed
+    backend evaluates every point at once, and a failure names
+    ``point(j)`` of the first failing point.
+    """
+    if backend == "printed":
+        return printed_column_report(alpha, s, w, point), ("",) * alpha.size
+    if backend != "oracle":
+        raise ValueError(f"unknown backend {backend!r}")
+    report = SqueezingReport(*(np.empty(alpha.size) for _ in fields(SqueezingReport)))
+    errors = [""] * alpha.size
+    _, first, inverse = np.unique(row_keys(alpha.real, alpha.imag, s), return_index=True, return_inverse=True)
+    order = np.argsort(first[inverse], kind="stable")  # a pair's points side by side share their branches
+    width = max(1, BLOCK_ELEMENTS // trunc)
+    for start in range(0, order.size, width):
+        block = order[start : start + width]
+        cols = pointer_columns(alpha[block], s[block], w[block], trunc)
+        for name, column in vars(column_report(cols)).items():
+            getattr(report, name)[block] = column
+        for row, e in zip(block.tolist(), cols.errors):
+            errors[row] = f"{TruncationTooSmall.__name__}: {e}" if e else ""
+    return report, tuple(errors)
+
+
 def sweep_columns(
     base: ExperimentParams, swept: str, values, phis: tuple[float, ...], backend: str = "oracle"
 ) -> SweepColumns:
@@ -132,8 +162,6 @@ def sweep_columns(
     for phi in phis.tolist():
         check_fields(phi=phi, **{swept: lo})
     check_fields(**{swept: hi})
-    if backend not in ("oracle", "printed"):
-        raise ValueError(f"unknown backend {backend!r}")
 
     n = phis.size * values.size
     phi = np.repeat(phis, values.size)
@@ -141,25 +169,11 @@ def sweep_columns(
     s = np.tile(values, phis.size) if swept == "s" else np.full(n, float(base.s))
     alpha = r * cmath.exp(1j * base.theta)  # as ExperimentParams.alpha, bit for bit
     w = np.repeat(np.array([weak_value(base.delta, angle) for angle in phis.tolist()], dtype=np.complex128), values.size)
-    errors = [""] * n
-    if backend == "oracle":
-        report = SqueezingReport(*(np.empty(n) for _ in fields(SqueezingReport)))
-        width = max(1, BLOCK_ELEMENTS // base.trunc)
-        # point-major: a value's angles sit side by side, so a block shares their branches
-        order = np.arange(n).reshape(phis.size, values.size).T.ravel()
-        for start in range(0, n, width):
-            block = order[start : start + width]
-            cols = pointer_columns(alpha[block], s[block], w[block], base.trunc)
-            for name, column in vars(column_report(cols)).items():
-                getattr(report, name)[block] = column
-            for row, e in zip(block.tolist(), cols.errors):
-                errors[row] = f"{TruncationTooSmall.__name__}: {e}" if e else ""
-    else:
-        swept_values = r if swept == "r" else s
-        report = printed_column_report(
-            alpha, s, w, lambda j: base.with_(phi=phi[j].item(), **{swept: swept_values[j].item()})
-        )
-    return SweepColumns(phi=phi, r=r, s=s, report=report, errors=tuple(errors))
+    swept_values = r if swept == "r" else s
+    report, errors = report_columns(
+        alpha, s, w, base.trunc, backend, lambda j: base.with_(phi=phi[j].item(), **{swept: swept_values[j].item()})
+    )
+    return SweepColumns(phi=phi, r=r, s=s, report=report, errors=errors)
 
 
 def sweep_s(

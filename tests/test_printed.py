@@ -143,6 +143,22 @@ class TestPrintedMomentColumns:
             evaluate_points("printed_kappa_sq", inverse, "row {}".format, np.array([1.0, -0.5, 0.0]))
 
 
+    def test_failure_search_halves_a_window(self):
+        # only the last of 1,000 points fails; a point-by-point search would evaluate 1,001 columns
+        calls = []
+
+        def evaluate(values):
+            calls.append(values.size)
+            if (values == 999.0).any():
+                raise FloatingPointError("overflow encountered in multiply")
+            return values
+
+        with pytest.raises(NumericalOverflow, match="^printed_moments: .* at row 999: overflow encountered in multiply$"):
+            evaluate_points("printed_moments", evaluate, "row {}".format, np.arange(1000.0))
+        assert len(calls) <= 2 * math.log2(1000) + 2
+        assert calls[0] == 1000 and calls[-1] == 1
+
+
 class TestPrintedWigner:
     def test_single_photon_origin_doubles_oracle(self):
         value = printed_wigner(SINGLE_PHOTON, 0)

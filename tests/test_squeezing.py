@@ -1,5 +1,6 @@
 """Witnesses, variance identities and sweep behaviour."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,11 +9,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spacsim.sweeps
-from spacsim.errors import TruncationTooSmall
-from spacsim.fock import FockVector, basis_state, coherent, displace, fidelity, moments, pointer_columns, spacs
+from spacsim.errors import NumericalOverflow, TruncationTooSmall
+from spacsim.fock import (
+    FockVector,
+    PointerColumns,
+    basis_state,
+    coherent,
+    displace,
+    fidelity,
+    moments,
+    pointer_columns,
+    spacs,
+)
 from spacsim.params import FIGURE_PRESET, weak_value
 from spacsim.squeezing import column_report, min_variances, point_report, report_from_moments, s_ass, s_os
-from spacsim.sweeps import BLOCK_ELEMENTS, DEFAULT_PHIS, fidelity_table, grid_values, sweep_columns, sweep_r, sweep_s
+from spacsim.sweeps import (
+    BLOCK_ELEMENTS,
+    DEFAULT_PHIS,
+    FIDELITY_COUPLINGS,
+    fidelity_columns,
+    fidelity_table,
+    grid_values,
+    report_columns,
+    sweep_columns,
+    sweep_r,
+    sweep_s,
+)
 
 
 class TestWitnesses:
@@ -242,3 +264,99 @@ class TestColumnSweeps:
         monkeypatch.setattr(spacsim.sweeps, "pointer_columns", broken)
         with pytest.raises(TypeError, match="broken builder"):
             sweep_s(FIGURE_PRESET, s_range=(0.0, 0.5, 0.25))
+
+
+# The oracle sweep layouts the output comparison script runs: fig1a and fig2a,
+# fig1b and fig2b, their variants, and one fig3 sweep (one angle per coupling).
+FIGURE_LAYOUTS = [
+    ("s", (0.0, 4.0, 0.02), DEFAULT_PHIS, {}),
+    ("s", (0.0, 0.04, 0.02), (0.3, 0.6), {}),
+    ("s", (0.0, 0.0, 0.02), DEFAULT_PHIS, {}),
+    ("s", (0.0, 4.0, 0.02), (1.0, 1.0, 2.0), {}),
+    ("r", (0.0, 3.0, 0.02), DEFAULT_PHIS, {}),
+    ("r", (0.0, 3.0, 0.02), DEFAULT_PHIS, {"theta": 5.9, "delta": 1.1}),
+    ("r", (0.0, 30.0, 0.02), DEFAULT_PHIS, {}),
+    ("r", (0.0, 0.1, 0.02), DEFAULT_PHIS, {}),
+    ("r", (0.0, 3.0, 0.02), (FIGURE_PRESET.phi,), {"s": 2.0}),
+]
+
+
+class TestReportColumns:
+    def test_arbitrary_points_match_blocks_in_first_appearance_order(self):
+        # shuffled figure points with repeated (alpha, s) pairs, a repeated point and
+        # amplitudes too large for the truncation, built in blocks of 8
+        base = FIGURE_PRESET.with_(trunc=4096)
+        rng = np.random.default_rng(5)
+        s_values = np.concatenate([np.tile(np.arange(0.0, 4.25, 0.25), 4), np.full(13, 0.5), [1.5, 1.5, 0.5, 0.5]])
+        r_values = np.concatenate([np.full(68, 1.0), np.arange(0.0, 3.25, 0.25), [1.0, 1.0, 70.0, 70.0]])
+        phis = np.concatenate([np.repeat(DEFAULT_PHIS, 17), rng.choice(DEFAULT_PHIS, 13), [0.3, 0.3, 1.0, 2.0]])
+        shuffle = rng.permutation(s_values.size)
+        s, phi = s_values[shuffle], phis[shuffle]
+        alpha = r_values[shuffle] * np.exp(1j * base.theta)
+        w = np.array([weak_value(base.delta, angle) for angle in phi.tolist()])
+        report, errors = report_columns(alpha, s, w, base.trunc, "oracle", "point {}".format)
+
+        rank = {}
+        for j, pair in enumerate(zip(alpha.tolist(), s.tolist())):
+            rank.setdefault(pair, j)
+        order = sorted(range(s.size), key=lambda j: rank[alpha[j].item(), s[j].item()])
+        width = BLOCK_ELEMENTS // base.trunc
+        assert width == 8
+        ref_errors = [""] * s.size
+        for start in range(0, s.size, width):
+            block = order[start : start + width]
+            cols = pointer_columns(alpha[block], s[block], w[block], base.trunc)
+            ref = column_report(cols)
+            for name in REPORT_FIELDS:
+                assert np.array_equal(getattr(report, name)[block], getattr(ref, name), equal_nan=True), (start, name)
+            for row, e in zip(block, cols.errors):
+                ref_errors[row] = f"TruncationTooSmall: {e}" if e else ""
+        assert errors == tuple(ref_errors)
+        assert sum(bool(e) for e in errors) == 2
+
+    @pytest.mark.parametrize("swept, grid, phis, overrides", FIGURE_LAYOUTS)
+    def test_derived_order_is_point_major_on_figure_layouts(self, monkeypatch, swept, grid, phis, overrides):
+        blocks = []
+
+        def recording(alpha, s, w, dim):
+            blocks.append((alpha, s, w))
+            empty = np.zeros((1, alpha.size), dtype=np.complex128)
+            return PointerColumns(initial=empty, final=empty, norm_sq=np.ones(alpha.size), errors=("",) * alpha.size)
+
+        monkeypatch.setattr(spacsim.sweeps, "pointer_columns", recording)
+        base = FIGURE_PRESET.with_(trunc=448, **overrides)
+        values = grid_values(*grid)
+        sweep = sweep_columns(base, swept, values, phis)
+        point_major = np.arange(sweep.s.size).reshape(len(phis), values.size).T.ravel()
+        alpha = sweep.r * cmath.exp(1j * base.theta)
+        w = np.repeat([weak_value(base.delta, phi) for phi in phis], values.size)
+        assert [b[0].size for b in blocks[:-1]] == [73] * (len(blocks) - 1)
+        for got, want in zip((np.concatenate(column) for column in zip(*blocks)), (alpha, sweep.s, w)):
+            assert np.array_equal(got.view(np.uint8), want[point_major].view(np.uint8))
+
+    def test_printed_failure_names_the_first_failing_point_in_input_order(self):
+        # points 0 and 2 share (alpha, s), so grouping them would put point 2 ahead of point 1
+        alpha = np.full(4, FIGURE_PRESET.alpha)
+        s = np.array([0.5, 1e62, 0.5, 1.0])
+        w = np.array([0.3, 0.3, 1e200, 0.3], dtype=np.complex128)
+        with pytest.raises(NumericalOverflow, match=" at point 1: "):
+            report_columns(alpha, s, w, 128, "printed", "point {}".format)
+
+    def test_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'exact'"):
+            report_columns(np.ones(1, dtype=complex), np.ones(1), np.ones(1, dtype=complex), 128, "exact", str)
+
+    @pytest.mark.parametrize("trunc", [128, 256, 448])
+    def test_oracle_fidelity_is_at_most_one_and_exactly_one_at_zero_coupling(self, trunc):
+        base = FIGURE_PRESET.with_(trunc=trunc)
+        r_grid = grid_values(0.0, 3.0, 0.02)
+        sweeps = [
+            sweep_columns(base, "s", grid_values(0.0, 4.0, 0.02), DEFAULT_PHIS),
+            sweep_columns(base, "r", r_grid, DEFAULT_PHIS),
+            *fidelity_columns(base, FIDELITY_COUPLINGS, r_grid),
+        ]
+        for sweep in sweeps:
+            fid = sweep.report.fidelity_to_initial
+            assert np.all(fid <= 1.0)
+            assert np.all(fid[sweep.s == 0] == 1.0)
+        assert np.count_nonzero(sweeps[0].s == 0) == len(DEFAULT_PHIS)

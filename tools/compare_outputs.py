@@ -30,7 +30,11 @@ block): 73-point blocks with a last block of one row, one-point
 blocks, three-point blocks that split a value's angles, a single
 coupling value at four angles, and a repeated angle.  A Wigner grid
 whose p range is not symmetric about 0 checks the grid route's fold
-onto the distinct |p| where most values of p have no mirror.
+onto the distinct |p| where most values of p have no mirror.  A
+printed sweep of 4,096 couplings overflows at its last row alone, so
+the error must still name that row.  Last come three oracle points: the
+preset, s = 0 (fidelity exactly 1) and an amplitude of 40, which fails
+the truncation tail check.
 """
 
 from __future__ import annotations
@@ -87,12 +91,15 @@ def cases() -> list[tuple[list[str], bool]]:
         ["fig1a", "--s-max", "0"],
         ["fig1a", "--phis", "1.0,1.0,2.0"],
         ["wigner", "--r", "1", "--s", "2", "--p-min", "-1.0", "--p-max", "3.0", "--x-min", "-2.0", "--x-max", "2.0"],
+        # 4,096 rows; s = 4.00064e51 passes the first coupling that overflows (about 4.0006367e51)
+        ["fig1a", "--backend", "printed", "--phis", "1.0", "--s-max", "4.00064e51", "--s-step", "9.76957264957265e+47"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed"])
     printing.append(["point", "--backend", "printed", "--s", "1e200"])
     printing.append(["point", "--backend", "printed", "--s", "1e62"])
     printing.append(["fig1a", "--out", EXISTING_DIR])
+    printing += [["point"], ["point", "--s", "0"], ["point", "--r", "40"]]
     return [(argv, True) for argv in writing] + [(argv, False) for argv in printing]
 
 
