@@ -43,7 +43,7 @@ from .audit import (
     csv_columns,
     default_audit_grid,
 )
-from .errors import SpacsimError
+from .errors import RangeError, SpacsimError
 from .fock import final_pointer_state
 from .io import WignerGrid, load_manifest, manifest_argv, write_columns, write_manifest
 from .params import DEFAULT_TRUNC, FIGURE_PRESET, ExperimentParams, check_fields, validate
@@ -229,7 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> int:
     command = COMMANDS[args.command]
     if args.trunc is None:
-        args.trunc = int(os.environ.get("SPACS_TRUNC") or DEFAULT_TRUNC)
+        text = os.environ.get("SPACS_TRUNC") or str(DEFAULT_TRUNC)
+        try:
+            args.trunc = int(text)
+        except ValueError:
+            raise RangeError("trunc", f"SPACS_TRUNC must be a decimal integer, got {text!r}") from None
     params = validate(ExperimentParams(**{name: getattr(args, name) for name in SCENARIO_FIELDS}))
     output = command.run(args, params)
     if command.out:

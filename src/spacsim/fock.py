@@ -75,6 +75,15 @@ class MomentSet:
     m_a2d2: float
 
 
+def column_sum(x: np.ndarray) -> np.ndarray:
+    """Row-by-row sums over the Fock axis of a C-ordered (levels, k) array, for any k.
+
+    numpy sums a lone column pairwise, so it is accumulated instead: a
+    column's sum has the same bits alone and inside a wider block.
+    """
+    return np.cumsum(x, axis=0)[-1] if x.shape[1] == 1 else x.sum(axis=0)
+
+
 def _normalised(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit-norm columns, each column's tail share and its norm.
 
@@ -90,8 +99,8 @@ def _normalised(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         scale = np.max(np.abs(cols), axis=0)
         scaled = cols / scale
         prob = scaled.real**2 + scaled.imag**2
-        total = np.sum(prob, axis=0)
-        share = np.sum(prob[-TAIL_LEVELS:], axis=0) / total
+        total = column_sum(prob)
+        share = column_sum(prob[-TAIL_LEVELS:]) / total
         root = np.sqrt(total)
         return scaled / root, share, scale * root
 
@@ -302,11 +311,10 @@ def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
         D(beta)|phi> ~ exp(i Im(beta alpha*)) (adag - beta*) |alpha + beta>
 
     and normalised, once per distinct (alpha, s) pair: the angles of one
-    sweep value differ only in w.  A column's bits depend only on whether
-    the batch has one column or several, not on its neighbours.  The
-    photon-added state, both branches and the superposition are
-    tail-checked in that order, and the first failure names the column's
-    error.
+    sweep value differ only in w.  A column's bits do not depend on its
+    neighbours or on how many there are.  The photon-added state, both
+    branches and the superposition are tail-checked in that order, and
+    the first failure names the column's error.
     """
     alphas, s, w = np.broadcast_arrays(
         np.atleast_1d(np.asarray(alphas, dtype=np.complex128)),
@@ -318,16 +326,11 @@ def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
     # A sweep block repeats points: one alpha across a coupling sweep, one
     # (alpha, s) pair per angle.  Build the photon-added column once per
     # distinct alpha and both branches once per distinct pair, on the bits (so
-    # -0.0 stays apart from 0.0), and gather them back in C order.  Axis-0
-    # reductions over two or more C-ordered columns add row by row, but over a
-    # single column pairwise, so a column's bits depend only on whether its
-    # block has one column or several: a block of several columns with one
-    # distinct point builds it over two.
-    gathers = []
-    for rows in (row_keys(alphas.real, alphas.imag), row_keys(alphas.real, alphas.imag, s)):
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        gathers.append((np.repeat(first, 2) if first.size == 1 < alphas.size else first, inverse))
-    (first, inverse), (pair, pair_inverse) = gathers
+    # -0.0 stays apart from 0.0), and gather them back in C order.
+    (_, first, inverse), (_, pair, pair_inverse) = (
+        np.unique(rows, return_index=True, return_inverse=True)
+        for rows in (row_keys(alphas.real, alphas.imag), row_keys(alphas.real, alphas.imag, s))
+    )
     initial, initial_share, _ = _normalised(_raised(_coherent_columns(alphas[first], dim)))
     initial, initial_share = initial.take(inverse, axis=1), initial_share[inverse]
     branches = []
@@ -418,11 +421,11 @@ def column_moments(psi: np.ndarray) -> MomentSet:
     a2 = lowered(a1)
     a4 = lowered(lowered(a2))
     return MomentSet(
-        m_a=np.sum(bra * a1, axis=0),
-        m_a2=np.sum(bra * a2, axis=0),
-        m_a4=np.sum(bra * a4, axis=0),
-        n_mean=np.sum(n * prob, axis=0),
-        m_a2d2=np.sum(n * (n - 1) * prob, axis=0),
+        m_a=column_sum(bra * a1),
+        m_a2=column_sum(bra * a2),
+        m_a4=column_sum(bra * a4),
+        n_mean=column_sum(n * prob),
+        m_a2d2=column_sum(n * (n - 1) * prob),
     )
 
 

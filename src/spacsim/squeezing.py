@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import MomentSet, PointerColumns, column_moments, pointer_column
+from .fock import MomentSet, PointerColumns, column_moments, column_sum, pointer_column
 from .params import ExperimentParams
 from .printed import PrintedMomentSet, evaluate_points, point_columns, printed_moment_columns
 
@@ -71,7 +71,7 @@ def column_report(cols: PointerColumns) -> SqueezingReport:
     initial state bit for bit (s = 0) has fidelity exactly 1, which the
     summed overlap can miss in the last bit.
     """
-    fid = np.abs(np.sum(cols.initial.conj() * cols.final, axis=0)) ** 2
+    fid = np.abs(column_sum(cols.initial.conj() * cols.final)) ** 2
     fid[(cols.initial == cols.final).all(axis=0)] = 1.0
     return report_from_moments(column_moments(cols.final), fid)
 

@@ -50,10 +50,6 @@ MAX_GRID_POINTS = 2**16
 
 #: Complex amplitudes per array in one block of sweep columns; a block holds
 #: max(1, BLOCK_ELEMENTS // trunc) points, which bounds memory before allocating.
-#: A point built in a block of its own differs in the last bits from one built
-#: with others (numpy reduces a single column in another order), so which rows
-#: sit alone is part of the output bytes: the last row when the row count
-#: leaves a remainder of one, or every row at one point per block.
 BLOCK_ELEMENTS = 2**15
 
 

@@ -345,19 +345,29 @@ class TestColumnarSweeps:
         assert capsys.readouterr().err == f"spacsim: numerical failure: {self.point_failure(printed_moments, first)}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @staticmethod
+    def assert_points_print_their_sweep_rows(backend, command, angles, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        scenario = ["--backend", backend] + (["--theta", repr(angles[0]), "--delta", repr(angles[1])] if angles else [])
+        assert run(command, *scenario, "--out", str(out)) == 0
+        header, rows = read_csv(out)
+        for row in random.Random(command).sample(rows, 16):
+            assert run("point", *scenario, "--phi", repr(row[0]), f"--{header[1]}", repr(row[1])) == 0
+            printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+            values = [float(printed[name]) for name in _REPORT_FIELDS]
+            np.testing.assert_array_equal(values, row[2:], err_msg=f"{command} row {row[:2]}")
+
     @pytest.mark.parametrize("angles", [None, _DRAWN_ANGLES], ids=["preset", "drawn"])
     @pytest.mark.parametrize("command", ["fig1a", "fig1b"])
     def test_printed_point_prints_its_sweep_row(self, command, angles, tmp_path, capsys):
         """A printed point is the sweep's column form at one entry, so it prints the row's values bit for bit."""
-        out = tmp_path / "out.csv"
-        scenario = ["--theta", repr(angles[0]), "--delta", repr(angles[1])] if angles else []
-        assert run(command, "--backend", "printed", *scenario, "--out", str(out)) == 0
-        header, rows = read_csv(out)
-        for row in random.Random(command).sample(rows, 16):
-            assert run("point", "--backend", "printed", *scenario, "--phi", repr(row[0]), f"--{header[1]}", repr(row[1])) == 0
-            printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
-            values = [float(printed[name]) for name in _REPORT_FIELDS]
-            np.testing.assert_array_equal(values, row[2:], err_msg=f"{command} row {row[:2]}")
+        self.assert_points_print_their_sweep_rows("printed", command, angles, tmp_path, capsys)
+
+    @pytest.mark.parametrize("angles", [None, _DRAWN_ANGLES], ids=["preset", "drawn"])
+    @pytest.mark.parametrize("command", ["fig1a", "fig1b"])
+    def test_oracle_point_prints_its_sweep_row(self, command, angles, tmp_path, capsys):
+        """An oracle point is a block of one column, summed row by row as its sweep block is, so it prints the row bit for bit."""
+        self.assert_points_print_their_sweep_rows("oracle", command, angles, tmp_path, capsys)
 
     def test_truncation_failure_names_the_first_failing_row(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
@@ -436,6 +446,16 @@ class TestTruncationInput:
         err = capsys.readouterr().err
         assert err.startswith("spacsim: invalid arguments: trunc: ") and err.count("\n") == 1
         assert not out.exists() and not Path(str(out) + ".manifest").exists()
+
+    @pytest.mark.parametrize("text", ["abc", "1e3", "0x10"])
+    def test_non_integer_environment_truncation_is_invalid_input(self, text, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "never.csv"
+        monkeypatch.setenv("SPACS_TRUNC", text)
+        assert run("fig1a", "--s-max", "0", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"spacsim: invalid arguments: trunc: SPACS_TRUNC must be a decimal integer, got {text!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 def _spacsim_subprocess(*argv: str, **env_vars: str) -> subprocess.CompletedProcess:

@@ -202,9 +202,9 @@ class TestColumnSweeps:
                 reference_report(base.with_(r=row.r))
 
     def test_blocks_of_consecutive_points_are_fixed(self):
-        # a point built in a block of its own differs in the last bits from one built with
-        # others, so the partition is part of the CSV bytes: here 804 points make 11 blocks
-        # of 73, some across two angles, and a last block of one
+        # each block of consecutive points gives the bits it gives alone, a last block of
+        # one row included: here 804 points make 11 blocks of 73, some across two angles,
+        # and a last block of one
         base = FIGURE_PRESET.with_(trunc=448)
         values = grid_values(0.0, 4.0, 0.02)
         sweep = sweep_columns(base, "s", values, DEFAULT_PHIS)
@@ -249,13 +249,16 @@ class TestColumnSweeps:
         assert sweep.errors == tuple(errors)
 
     def test_repeated_pair_has_the_bits_it_has_beside_another(self):
+        # a repeated pair on its own, and single points: one distinct and one of the pair
         alpha, w = FIGURE_PRESET.alpha, [weak_value(FIGURE_PRESET.delta, phi) for phi in (0.3, 1.0, 2.0)]
-        alone = pointer_columns(alpha, [1.5, 1.5, 1.5], w, 64)
         beside = pointer_columns(alpha, [1.5, 0.7, 1.5, 1.5], [w[0], w[0], w[1], w[2]], 64)
-        keep = [0, 2, 3]
-        for name in ("initial", "final"):
-            assert np.array_equal(getattr(alone, name), getattr(beside, name)[:, keep]), name
-        assert np.array_equal(alone.norm_sq, beside.norm_sq[keep])
+        beside_report = column_report(beside)
+        for s, ws, keep in (([1.5, 1.5, 1.5], w, [0, 2, 3]), (0.7, w[0], [1]), (1.5, w[1], [2])):
+            alone = pointer_columns(alpha, s, ws, 64)
+            for name in ("initial", "final", "norm_sq"):
+                assert np.array_equal(getattr(alone, name), getattr(beside, name)[..., keep]), (keep, name)
+            for name, column in vars(column_report(alone)).items():
+                assert np.array_equal(column, getattr(beside_report, name)[keep]), (keep, name)
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -8,7 +8,9 @@ package (the ``src`` directory of a checkout).  Each invocation runs as
 directory per tree, with ``SPACS_TRUNC`` unset.  The script
 compares the CSV bytes, the manifest (apart from ``created`` and
 ``out``), stdout, stderr and the exit code, prints one line per
-invocation and exits 1 if any invocation differs.  Standard library
+invocation and exits 1 if any invocation differs.  Where a CSV or
+stdout differs, the line also gives how many numeric fields differ and
+the largest |new - old| / max(1, |old|) among them.  Standard library
 only.
 
 The invocations are the benchmark's (``bench/run.py`` at seed 0, so at
@@ -41,7 +43,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -50,6 +54,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: A directory made in each scratch directory before the runs, for an unwritable --out.
 EXISTING_DIR = "existing-dir"
+#: What separates the fields of a CSV line and of the ``name=value`` lines on stdout.
+FIELD_SEPARATOR = re.compile(rb"[,=\s]+")
 COMMANDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3", "wigner", "audit", "point", "rerun")
 
 
@@ -137,6 +143,29 @@ def _first_line_apart(a: bytes, b: bytes) -> int:
     return min(a.count(b"\n"), b.count(b"\n")) + 1
 
 
+def _numeric_moves(a: bytes, b: bytes) -> str:
+    """How many numeric fields of two texts differ, and by how much at most.
+
+    Lines are paired in order and split into fields; a field counts when
+    its texts differ and both parse as floats.  A NaN on one side only
+    counts as an infinite move.
+    """
+    count, worst = 0, 0.0
+    for x, y in zip(a.splitlines(), b.splitlines()):
+        for u, v in zip(FIELD_SEPARATOR.split(x), FIELD_SEPARATOR.split(y)):
+            if u == v:
+                continue
+            try:
+                old, new = float(u), float(v)
+            except ValueError:
+                continue
+            count += 1
+            move = abs(new - old) / max(1.0, abs(old))
+            if not move <= worst:
+                worst = math.inf if math.isnan(move) else move
+    return f"{count} numeric fields differ, the largest |new - old| / max(1, |old|) is {worst:.2g}"
+
+
 def _last_line(text: bytes) -> str:
     lines = text.decode("utf-8", "replace").strip().splitlines()
     return lines[-1] if lines else ""
@@ -152,7 +181,9 @@ def differences(old: dict, new: dict) -> list[str]:
             if a is None or b is None:
                 found.append(f"{stream} {'missing' if b is None else 'written'} on the new tree")
             else:
-                found.append(f"{stream} differs from line {_first_line_apart(a, b)} ({len(a)} -> {len(b)} bytes)")
+                found.append(
+                    f"{stream} differs from line {_first_line_apart(a, b)} ({len(a)} -> {len(b)} bytes; {_numeric_moves(a, b)})"
+                )
     if old["stderr"] != new["stderr"]:
         found.append(f"stderr {_last_line(old['stderr'])!r} -> {_last_line(new['stderr'])!r}")
     if old["manifest"] != new["manifest"]:
