@@ -8,19 +8,28 @@ formula shows up as a fitted scale away from 1 with small normalised
 residuals; a structural misprint leaves large residuals that no single
 scale removes.  Nothing is corrected here - the numbers are the
 deliverable.
+
+The oracle states are built in consecutive blocks of grid points, as
+the sweeps build theirs (:func:`~spacsim.sweeps.pointer_blocks`), and
+each block's moments are taken in one call; a column's bits do not
+depend on its block.  Only the Wigner comparison runs state by state,
+because each state has its own position lattice.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .fock import column_state, moments, pointer_column
+from .errors import RangeError, TruncationTooSmall
+from .fock import PointerColumns, column_moments, column_state
 from .params import FIGURE_PRESET, ExperimentParams, validate, weak_value
 from .printed import evaluate_points, printed_kappa_sq_columns, printed_moment_columns, printed_wigner_values
-from .sweeps import grid_values
+from .sweeps import grid_values, pointer_blocks
 from .wigner import check_grid_elements, wigner_grid_values
 
 MOMENT_QUANTITIES = ("n_mean", "m_a", "m_a2", "m_a2d2", "m_a4")
@@ -152,6 +161,15 @@ def _fitted(
     )
 
 
+def _pointer_blocks(grid: list[ExperimentParams], alpha, s, w) -> Iterator[tuple[np.ndarray, PointerColumns]]:
+    """:func:`pointer_blocks` over each run of consecutive points of one truncation, in grid order."""
+    start = 0
+    for trunc, run in itertools.groupby(params.trunc for params in grid):
+        stop = start + sum(1 for _ in run)
+        yield from pointer_blocks(alpha, s, w, trunc, np.arange(start, stop))
+        start = stop
+
+
 def audit_columns(
     grid: list[ExperimentParams] | None = None,
     quantities: tuple[str, ...] = ALL_QUANTITIES,
@@ -162,8 +180,12 @@ def audit_columns(
 
     One :class:`QuantityColumns` per requested quantity, in the order
     requested (a repeated name counts once), with its points in grid
-    order.  Each state is built once, by :func:`pointer_column`; the
-    printed moments and kappa^2 are evaluated once over the whole grid.
+    order.  The printed moments and kappa^2 are evaluated once over the
+    whole grid.  Each state is built once, in consecutive blocks of
+    points of one truncation; then the points run in grid order, and
+    the first whose state fails the truncation tail check raises
+    TruncationTooSmall after the Wigner comparisons of the points
+    before it.
     """
     unknown = set(quantities) - set(ALL_QUANTITIES)
     if unknown:
@@ -188,24 +210,27 @@ def audit_columns(
     elif "kappa_sq" in quantities:
         printed["kappa_sq"] = evaluate_points("printed_kappa_sq", printed_kappa_sq_columns, grid.__getitem__, *columns)
 
-    oracle: dict[str, list] = {q: [] for q in quantities}
+    oracle: dict[str, np.ndarray | list] = {q: np.empty(len(grid), dtype=np.complex128) for q in quantities if q != "wigner"}
     if "wigner" in quantities:
+        if not (math.isfinite(wigner_half_width) and wigner_half_width >= 0):
+            raise RangeError("wigner_half_width", f"half width must be finite and >= 0, got {wigner_half_width}")
         axis = grid_values(-wigner_half_width, wigner_half_width, wigner_step)
         check_grid_elements(axis.size**2)
         zs = axis[:, None] + 1j * axis[None, :]
-        printed["wigner"] = []
-    for params in grid:
-        cols = pointer_column(params)
-        state = column_state(cols.final[:, 0])
+        oracle["wigner"], printed["wigner"] = [], []
+    for block, cols in _pointer_blocks(grid, *columns):
         if wanted_moments:
-            om = moments(state)
+            om = column_moments(cols.final)
             for q in wanted_moments:
-                oracle[q].append(complex(getattr(om, q)))
+                oracle[q][block] = getattr(om, q)
         if "kappa_sq" in quantities:
-            oracle["kappa_sq"].append(2.0 / float(cols.norm_sq[0]))
-        if "wigner" in quantities:
-            oracle["wigner"].append(wigner_grid_values(state, axis, axis).ravel())
-            printed["wigner"].append(printed_wigner_values(params, zs).ravel())
+            oracle["kappa_sq"][block] = 2.0 / cols.norm_sq
+        for j, (point, error) in enumerate(zip(block.tolist(), cols.errors)):
+            if error:
+                raise TruncationTooSmall(error)
+            if "wigner" in quantities:
+                oracle["wigner"].append(wigner_grid_values(column_state(cols.final[:, j]), axis, axis).ravel())
+                printed["wigner"].append(printed_wigner_values(grid[point], zs).ravel())
 
     echo = {name: np.array([getattr(params, name) for params in grid], dtype=float) for name in ECHOED}
     nan = np.full(len(grid), math.nan)

@@ -26,11 +26,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .fock import pointer_columns, row_keys
+from .fock import PointerColumns, pointer_columns, row_keys
 from .params import ExperimentParams, check_fields, validate, weak_value
 from .squeezing import SqueezingReport, column_report, printed_column_report
 
@@ -48,7 +49,7 @@ FIDELITY_COUPLINGS = (0.5, 1.0, 2.0, 3.0)
 #: rejected rather than allocated.
 MAX_GRID_POINTS = 2**16
 
-#: Complex amplitudes per array in one block of sweep columns; a block holds
+#: Complex amplitudes per array in one block of pointer columns; a block holds
 #: max(1, BLOCK_ELEMENTS // trunc) points, which bounds memory before allocating.
 BLOCK_ELEMENTS = 2**15
 
@@ -108,12 +109,24 @@ class SweepColumns:
         ]
 
 
+def pointer_blocks(alpha, s, w, trunc: int, order: np.ndarray) -> Iterator[tuple[np.ndarray, PointerColumns]]:
+    """Point indices and pointer states of ``order`` in consecutive blocks.
+
+    A block holds the next max(1, BLOCK_ELEMENTS // trunc) indices of
+    ``order``, and its states are built by one :func:`pointer_columns`
+    call when the block is reached.
+    """
+    width = max(1, BLOCK_ELEMENTS // trunc)
+    for start in range(0, order.size, width):
+        block = order[start : start + width]
+        yield block, pointer_columns(alpha[block], s[block], w[block], trunc)
+
+
 def report_columns(alpha, s, w, trunc: int, backend: str, point) -> tuple[SqueezingReport, tuple[str, ...]]:
     """Reports and row errors of 1-D columns of valid points in any order, both in input order.
 
     The oracle groups the points by (alpha, s), in order of first
-    appearance, and builds consecutive blocks of max(1,
-    BLOCK_ELEMENTS // trunc) of them through :func:`pointer_columns`; a
+    appearance, and builds their states through :func:`pointer_blocks`; a
     row error is prefixed ``TruncationTooSmall: ``.  The printed
     backend evaluates every point at once, and a failure names
     ``point(j)`` of the first failing point.
@@ -126,10 +139,7 @@ def report_columns(alpha, s, w, trunc: int, backend: str, point) -> tuple[Squeez
     errors = [""] * alpha.size
     _, first, inverse = np.unique(row_keys(alpha.real, alpha.imag, s), return_index=True, return_inverse=True)
     order = np.argsort(first[inverse], kind="stable")  # a pair's points side by side share their branches
-    width = max(1, BLOCK_ELEMENTS // trunc)
-    for start in range(0, order.size, width):
-        block = order[start : start + width]
-        cols = pointer_columns(alpha[block], s[block], w[block], trunc)
+    for block, cols in pointer_blocks(alpha, s, w, trunc, order):
         for name, column in vars(column_report(cols)).items():
             getattr(report, name)[block] = column
         for row, e in zip(block.tolist(), cols.errors):

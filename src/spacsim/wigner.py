@@ -155,16 +155,22 @@ def _position_amplitudes(amps: np.ndarray, xs: np.ndarray) -> np.ndarray:
     high levels, so the frame starts at exp(-u^2/2) = 1 and is divided
     by _RESCALE, with a running log-scale, wherever h_n exceeds it.
     In this frame h_(n-1) and h_n are never both far below 1, so it
-    never needs scaling up.
+    never needs scaling up.  |h_n(u)| <= pi^(-1/4) (Indritz, Proc. Amer.
+    Math. Soc. 12, 981 (1961)), so the frame stays below exp(u^2/2), and
+    where that is below _RESCALE / e for every point the per-level test
+    is skipped: it could find nothing, so the values are the same.
     """
     u = math.sqrt(2.0) * np.asarray(xs, dtype=float)
     log_scale = -0.5 * u * u - 0.25 * math.log(math.pi)
+    can_rescale = 0.5 * float(np.max(u * u)) > math.log(_RESCALE) - 1.0
     prev = np.zeros_like(u)
     cur = np.ones_like(u)
     acc = amps[0] * cur
     for n in range(1, amps.size):
         prev, cur = cur, math.sqrt(2.0 / n) * u * cur - math.sqrt((n - 1) / n) * prev
         acc += amps[n] * cur
+        if not can_rescale:
+            continue
         big = np.abs(cur) > _RESCALE
         if big.any():
             prev[big] /= _RESCALE

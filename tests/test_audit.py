@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import spacsim.audit
-from spacsim.audit import compare, default_audit_grid, fit_scale
+import spacsim.sweeps
+from spacsim.audit import DEFAULT_S_VALUES, audit_columns, compare, default_audit_grid, fit_scale
 from spacsim.cli import main
+from spacsim.errors import RangeError, TruncationTooSmall
 from spacsim.io import fmt, load_manifest
-from spacsim.params import FIGURE_PRESET
+from spacsim.params import FIGURE_PRESET, weak_value
 
 
 def summary_map(summaries):
@@ -130,11 +132,59 @@ class TestColumns:
 
     def test_each_state_is_built_once(self, monkeypatch):
         calls = []
-        original = spacsim.audit.pointer_column
-        monkeypatch.setattr(spacsim.audit, "pointer_column", lambda p: calls.append(p) or original(p))
+        original = spacsim.sweeps.pointer_columns
+        monkeypatch.setattr(spacsim.sweeps, "pointer_columns", lambda *args: calls.append(args) or original(*args))
         grid = default_audit_grid()
-        compare(grid)
-        assert calls == grid
+        for width in (max(1, spacsim.sweeps.BLOCK_ELEMENTS // grid[0].trunc), 7):
+            monkeypatch.setattr(spacsim.sweeps, "BLOCK_ELEMENTS", width * grid[0].trunc)
+            calls.clear()
+            compare(grid)
+            assert len(calls) == math.ceil(len(grid) / width)
+            alphas, couplings, weak_values = (np.concatenate(column).tolist() for column in list(zip(*calls))[:3])
+            assert alphas == [params.alpha for params in grid]
+            assert couplings == [params.s for params in grid]
+            assert weak_values == [weak_value(params.delta, params.phi) for params in grid]
+
+    @pytest.mark.parametrize("width", [1, 7, 30])
+    def test_block_width_leaves_every_column_bit_identical(self, width, monkeypatch):
+        grid = default_audit_grid()
+        whole = audit_columns(grid)
+        monkeypatch.setattr(spacsim.sweeps, "BLOCK_ELEMENTS", width * grid[0].trunc)
+        for a, b in zip(audit_columns(grid), whole, strict=True):
+            assert a.quantity == b.quantity and a.scale == b.scale
+            for name in ("oracle", "printed", "raw_residual", "scaled_residual"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.quantity, name)
+
+    def test_mixed_truncations_keep_grid_order(self, monkeypatch):
+        dims = []
+        original = spacsim.sweeps.pointer_columns
+        monkeypatch.setattr(spacsim.sweeps, "pointer_columns", lambda *args: dims.append(args[3]) or original(*args))
+        points = default_audit_grid(r_values=(0.5, 1.0), s_values=(0.0, 0.5, 2.0))
+        grid = [params.with_(trunc=trunc) for params, trunc in zip(points, (64, 64, 128, 128, 128, 64))]
+        mixed = audit_columns(grid)
+        assert dims == [64, 128, 64]
+        for j, params in enumerate(grid):
+            for a, alone in zip(mixed, audit_columns([params]), strict=True):
+                size = alone.oracle.size
+                assert a.oracle[j * size : (j + 1) * size].tobytes() == alone.oracle.tobytes(), (j, a.quantity)
+
+    def test_failing_state_raises_after_the_wigner_comparisons_before_it(self, monkeypatch):
+        compared = []
+        original = spacsim.audit.wigner_grid_values
+        monkeypatch.setattr(spacsim.audit, "wigner_grid_values", lambda *args: compared.append(args) or original(*args))
+        grid = default_audit_grid(r_values=(0.0, 12.0))
+        with pytest.raises(TruncationTooSmall, match=r"^spacs\(\(8\.48"):
+            audit_columns(grid)
+        assert len(compared) == len(DEFAULT_S_VALUES)
+
+    def test_cli_failing_state_exits_3_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "audit.csv"
+        assert main(["audit", "--r-values", "0,12", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "spacsim: numerical failure: spacs((8.485281374238571+8.48528137423857j)): tail share 5.283e-01 "
+            "of the norm in the top 4 of 128 levels exceeds 1e-10; increase the truncation dimension\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_quantity_counts_once(self):
         grid = default_audit_grid(r_values=(1.0,), s_values=(0.0, 0.5))
@@ -144,3 +194,23 @@ class TestColumns:
 
     def test_empty_grid(self):
         assert compare([], quantities=("m_a", "wigner")) == ([], [])
+
+
+class TestWignerHalfWidth:
+    @pytest.mark.parametrize("half_width", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejected_naming_the_field(self, half_width):
+        with pytest.raises(RangeError) as err:
+            audit_columns(default_audit_grid(r_values=(1.0,), s_values=(0.5,)), ("wigner",), half_width)
+        assert err.value.field == "wigner_half_width"
+
+    def test_cli_names_the_flag(self, tmp_path, capsys):
+        assert main(["audit", "--wigner-half-width", "-1", "--out", str(tmp_path / "audit.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "spacsim: invalid arguments: wigner_half_width: half width must be finite and >= 0, got -1.0\n"
+        )
+
+    def test_zero_gives_one_point_per_state(self):
+        grid = default_audit_grid(r_values=(1.0,), s_values=(0.0, 0.5))
+        (columns,) = audit_columns(grid, ("wigner",), 0.0)
+        assert columns.oracle.size == len(grid)
+        assert columns.x.tolist() == columns.p.tolist() == [0.0, 0.0]

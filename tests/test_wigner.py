@@ -123,6 +123,17 @@ class TestPositionRepresentationGrid:
             wigner_grid_values(spacs(1.0, 64), np.array([0.0, 0.1, 0.3]), np.array([0.0]))
 
 
+def test_far_point_has_the_same_bits_alone_and_among_near_points():
+    # at x = 22 the recurrence frame of these 640 levels passes _RESCALE, near the origin it cannot
+    amps = spacs(20.0, 640).amps
+    near, far = np.linspace(-3.0, 3.0, 13), np.array([22.0])
+    batch = wigner._position_amplitudes(amps, np.append(near, far))
+    alone = wigner._position_amplitudes(amps, far)
+    assert abs(alone[0]) > 1e-3
+    assert batch[-1:].tobytes() == alone.tobytes()
+    assert batch[:-1].tobytes() == wigner._position_amplitudes(amps, near).tobytes()
+
+
 class TestQuadratureCrossCheck:
     def test_vacuum(self):
         value = wigner_point_quadrature(basis_state(0, 64), 0, cutoff=5, res=0.02)

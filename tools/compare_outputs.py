@@ -34,7 +34,9 @@ coupling value at four angles, and a repeated angle.  A Wigner grid
 whose p range is not symmetric about 0 checks the grid route's fold
 onto the distinct |p| where most values of p have no mirror.  A
 printed sweep of 4,096 couplings overflows at its last row alone, so
-the error must still name that row.  Last come three oracle points: the
+the error must still name that row.  Two audits follow: one at
+truncation 4096, whose 30 states take four blocks of eight, and one
+whose states at r = 12 fail the truncation tail check.  Last come three oracle points: the
 preset, s = 0 (fidelity exactly 1) and an amplitude of 40, which fails
 the truncation tail check.
 """
@@ -99,6 +101,8 @@ def cases() -> list[tuple[list[str], bool]]:
         ["wigner", "--r", "1", "--s", "2", "--p-min", "-1.0", "--p-max", "3.0", "--x-min", "-2.0", "--x-max", "2.0"],
         # 4,096 rows; s = 4.00064e51 passes the first coupling that overflows (about 4.0006367e51)
         ["fig1a", "--backend", "printed", "--phis", "1.0", "--s-max", "4.00064e51", "--s-step", "9.76957264957265e+47"],
+        ["audit", "--trunc", "4096", "--wigner-step", "1.5"],
+        ["audit", "--r-values", "0,12"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed"])
