@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import RangeError, TruncationTooSmall
 from .fock import PointerColumns, column_moments, column_state
-from .params import FIGURE_PRESET, ExperimentParams, validate, weak_value
+from .params import FIGURE_PRESET, ExperimentParams, point_columns
 from .printed import evaluate_points, printed_kappa_sq_columns, printed_moment_columns, printed_wigner_values
 from .sweeps import grid_values, pointer_blocks
 from .wigner import check_grid_elements, wigner_grid_values
@@ -192,18 +192,12 @@ def audit_columns(
         raise ValueError(f"unknown quantities: {sorted(unknown)}")
     if grid is None:
         grid = default_audit_grid()
-    for params in grid:
-        validate(params)
+    columns = point_columns(*grid)
     quantities = tuple(dict.fromkeys(quantities))
     if not (grid and quantities):
         return []
     wanted_moments = [q for q in quantities if q in MOMENT_QUANTITIES]
 
-    columns = (
-        np.array([params.alpha for params in grid]),
-        np.array([params.s for params in grid], dtype=np.float64),
-        np.array([weak_value(params.delta, params.phi) for params in grid]),
-    )
     printed: dict[str, np.ndarray | list] = {}
     if wanted_moments:
         printed.update(vars(evaluate_points("printed_moments", printed_moment_columns, grid.__getitem__, *columns)))
@@ -214,7 +208,10 @@ def audit_columns(
     if "wigner" in quantities:
         if not (math.isfinite(wigner_half_width) and wigner_half_width >= 0):
             raise RangeError("wigner_half_width", f"half width must be finite and >= 0, got {wigner_half_width}")
-        axis = grid_values(-wigner_half_width, wigner_half_width, wigner_step)
+        try:
+            axis = grid_values(-wigner_half_width, wigner_half_width, wigner_step)
+        except ValueError as exc:
+            raise RangeError("wigner_half_width/wigner_step", str(exc)) from exc
         check_grid_elements(axis.size**2)
         zs = axis[:, None] + 1j * axis[None, :]
         oracle["wigner"], printed["wigner"] = [], []

@@ -29,6 +29,7 @@ import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import __version__
@@ -85,8 +86,13 @@ def _range_flags(name: str, lo: float, hi: float, step: float | None = DEFAULT_S
     return tuple((f"--{name}-{end}", float, value, None) for end, value in ends.items() if value is not None)
 
 
-def _range(args: argparse.Namespace, name: str) -> tuple[float, float, float]:
-    return tuple(getattr(args, f"{name}_{end}") for end in ("min", "max", "step"))
+def _range(args: argparse.Namespace, name: str, step: str = "") -> np.ndarray:
+    """The grid of ``--<name>-min``, ``--<name>-max`` and the ``step`` flag (default ``--<name>-step``); an error names all three."""
+    flags = (f"{name}_min", f"{name}_max", step or f"{name}_step")
+    try:
+        return grid_values(*(getattr(args, flag) for flag in flags))
+    except ValueError as exc:
+        raise RangeError("/".join(flags), str(exc)) from exc
 
 
 class Output(NamedTuple):
@@ -118,14 +124,14 @@ def _run_sweep(args: argparse.Namespace, params: ExperimentParams) -> Output:
     swept = "s" if hasattr(args, "s_min") else "r"
     for phi in args.phis:
         check_fields(phi=float(phi))
-    sweep = sweep_columns(params, swept, grid_values(*_range(args, swept)), args.phis, args.backend)
+    sweep = sweep_columns(params, swept, _range(args, swept), args.phis, args.backend)
     _fail_on_row_errors(sweep)
     columns = [sweep.phi, getattr(sweep, swept)] + [getattr(sweep.report, name) for name in _REPORT_FIELDS]
     return Output(["phi", swept] + REPORT_COLUMNS, columns)
 
 
 def _run_fig3(args: argparse.Namespace, params: ExperimentParams) -> Output:
-    r_grid = grid_values(*_range(args, "r"))
+    r_grid = _range(args, "r")
     sweeps = fidelity_columns(params, args.s_values, r_grid, args.backend)
     _fail_on_row_errors(*sweeps)
     columns = [sweep.report.fidelity_to_initial for sweep in sweeps]
@@ -133,8 +139,7 @@ def _run_fig3(args: argparse.Namespace, params: ExperimentParams) -> Output:
 
 
 def _run_wigner(args: argparse.Namespace, params: ExperimentParams) -> Output:
-    xs = grid_values(args.x_min, args.x_max, args.grid_step)
-    ps = grid_values(args.p_min, args.p_max, args.grid_step)
+    xs, ps = _range(args, "x", "grid_step"), _range(args, "p", "grid_step")
     if args.backend == "oracle":
         values = wigner_grid_values(final_pointer_state(params), xs, ps)
     else:

@@ -8,7 +8,7 @@ class SpacsimError(Exception):
 class RangeError(SpacsimError, ValueError):
     """A scenario parameter is outside its allowed range.
 
-    ``field`` names the offending parameter.
+    ``field`` names the offending parameter, or a range's parameters joined by "/".
     """
 
     def __init__(self, field: str, message: str):

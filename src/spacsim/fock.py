@@ -17,8 +17,9 @@ a shift.  :func:`pointer_columns` does this for a whole batch of
 parameter points at once, one column per point.  Coherent amplitudes
 are built in log space, so no intermediate overflows at any amplitude.
 
-:func:`displace` applies the truncated displacement unitary, obtained
-by diagonalising its generator once per dimension; it is the generic
+:func:`displaced_columns` applies the truncated displacement unitary,
+obtained by diagonalising its generator once per dimension, for a
+batch of amplitudes, and :func:`displace` for one.  It is the generic
 reference the exact construction is tested against, and the
 displaced-parity Wigner route uses it.
 """
@@ -32,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationTooSmall
-from .params import TAIL_LEVELS, ExperimentParams, validate, weak_value
+from .params import TAIL_LEVELS, ExperimentParams, point_columns
 
 #: Maximum tolerated tail share: the fraction of a constructed state's
 #: squared norm in its top TAIL_LEVELS levels.
@@ -207,12 +208,11 @@ def pad(state: FockVector, dim: int) -> FockVector:
 
 @lru_cache(maxsize=16)
 def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the Hermitian generator i(adag - a).
+    """Eigendecomposition V, L of the Hermitian generator i(adag - a).
 
-    Any displacement factorises through this single dimension-wide
-    decomposition: exp(beta*adag - conj(beta)*a) equals
-    R(phase) V exp(-i|beta|L) V^dag R(-phase) with R a diagonal phase
-    rotation, so one eigh call serves every displacement amplitude.
+    Every displacement amplitude factorises through this one
+    decomposition (see :func:`displaced_columns`), so one eigh call
+    serves them all.
     """
     off = np.sqrt(np.arange(1, dim))
     gen = np.zeros((dim, dim), dtype=np.complex128)
@@ -225,40 +225,27 @@ def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _displaced_core(state: FockVector, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-reduced displacement batch shared by all consumers.
+def displaced_columns(state: FockVector, betas: np.ndarray) -> np.ndarray:
+    """Apply D(beta) to one state for a whole batch of amplitudes.
 
-    For each beta = t * exp(i*phase), D(beta) factorises into
-    R(phase) V exp(-i t L) V^H R(-phase) with R(phase) the diagonal
-    number-phase rotation.  Returns ``(phases, out)`` where
-    ``phases[n, j] = exp(-i n phase_j)`` and
-    ``out = V exp(-i t L) V^H R(-phase) psi`` column-wise; the full
-    displaced column is ``conj(phases) * out``.  Consumers that only
-    need magnitudes (parity sums) can skip the final phase entirely.
-
-    The integer-power phase matrix is built by a cumulative product
-    (one exp per column instead of one per entry); the accumulated
-    rounding is below 1e-13 for dimensions in the hundreds.
+    Returns a (dim, len(betas)) array whose column j is D(betas[j])
+    applied to ``state``.  For beta = t * exp(i*phase), D(beta)
+    factorises into R(phase) V exp(-i t L) V^H R(-phase), with R(phase)
+    the diagonal number-phase rotation exp(i n phase) and V, L the
+    eigendecomposition of :func:`_displacement_basis`.  The
+    integer-power phases are built by a cumulative product (one exp per
+    column instead of one per entry); the accumulated rounding is below
+    1e-13 for dimensions in the hundreds.  Exactly unitary per column up
+    to the eigendecomposition error; no tail check is performed here.
     """
     betas = np.asarray(betas, dtype=np.complex128).ravel()
     evals, evecs = _displacement_basis(state.dim)
     steps = np.broadcast_to(np.exp(-1j * np.angle(betas)), (state.dim, betas.size)).copy()
     steps[0, :] = 1.0
-    phases = np.cumprod(steps, axis=0)
+    phases = np.cumprod(steps, axis=0)  # exp(-i n phase_j), that is R(-phase)
     u = evecs.conj().T @ (phases * state.amps[:, None])
     u *= np.exp(-1j * np.outer(evals, np.abs(betas)))
     out = evecs @ u
-    return phases, out
-
-
-def displaced_columns(state: FockVector, betas: np.ndarray) -> np.ndarray:
-    """Apply D(beta) to one state for a whole batch of amplitudes.
-
-    Returns a (dim, len(betas)) array whose column j is D(betas[j])
-    applied to ``state``.  Exactly unitary per column up to the
-    eigendecomposition error; no tail check is performed here.
-    """
-    phases, out = _displaced_core(state, betas)
     out *= phases.conj()
     return out
 
@@ -362,9 +349,8 @@ def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
 
 
 def pointer_column(params: ExperimentParams) -> PointerColumns:
-    """:func:`pointer_columns` for one validated point; raises TruncationTooSmall if it fails."""
-    validate(params)
-    cols = pointer_columns(params.alpha, params.s, weak_value(params.delta, params.phi), params.trunc)
+    """:func:`pointer_columns` for one point, validated first; raises TruncationTooSmall if it fails."""
+    cols = pointer_columns(*point_columns(params), params.trunc)
     if cols.errors[0]:
         raise TruncationTooSmall(cols.errors[0])
     return cols

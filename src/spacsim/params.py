@@ -15,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DegeneratePostselection, RangeError
 
 DEFAULT_TRUNC = 128
@@ -129,6 +131,21 @@ def weak_value(delta: float, phi: float) -> complex:
     """
     check_fields(phi=phi)
     return cmath.exp(1j * delta) * math.tan(phi / 2)
+
+
+def point_columns(*points: ExperimentParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The alpha, s and weak-value columns of valid points, one entry per point.
+
+    Every point is validated first, in order, so the first invalid one
+    raises what :func:`validate` raises.
+    """
+    for params in points:
+        validate(params)
+    return (
+        np.array([params.alpha for params in points], dtype=np.complex128),
+        np.array([params.s for params in points], dtype=np.float64),
+        np.array([weak_value(params.delta, params.phi) for params in points], dtype=np.complex128),
+    )
 
 
 def postselection_probability(phi: float) -> float:

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonPositiveNorm, NumericalOverflow
-from .params import ExperimentParams, validate, weak_value
+from .params import ExperimentParams, point_columns
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,6 @@ def evaluate_points(name: str, evaluate: Callable, point: Callable[[int], object
         except NonPositiveNorm as exc:
             raise NonPositiveNorm(f"{exc} at {point(lo)}") from exc
     raise failure  # not reached: a point alone fails as it does in its column
-
-
-def point_columns(params: ExperimentParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The alpha, s and weak-value columns of one valid point, one entry each."""
-    validate(params)
-    w = weak_value(params.delta, params.phi)
-    return np.array([params.alpha]), np.array([params.s], dtype=np.float64), np.array([w])
 
 
 def _gamma_sq(alpha: complex) -> float:
@@ -336,9 +329,9 @@ def printed_wigner_values(params: ExperimentParams, zs: np.ndarray) -> np.ndarra
     z = np.asarray(zs, dtype=np.complex128).ravel()  # a 0-d z would take numpy's scalar arithmetic, which rounds differently
     columns = point_columns(params)
     # kappa^2 is a one-entry column, as for the moments; the other parameter
-    # terms stay Python numbers, which keeps the printed panels' values
+    # terms are Python numbers, which keeps the printed panels' values
     # (numpy's complex abs differs from CPython's in the last bit)
-    alpha, s, w = params.alpha, params.s, weak_value(params.delta, params.phi)
+    alpha, s, w = (column.item() for column in columns)
 
     def wigner(*point):
         k2 = printed_kappa_sq_columns(*point)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import MomentSet, PointerColumns, column_moments, column_sum, pointer_column
-from .params import ExperimentParams
-from .printed import PrintedMomentSet, evaluate_points, point_columns, printed_moment_columns
+from .params import ExperimentParams, point_columns
+from .printed import PrintedMomentSet, evaluate_points, printed_moment_columns
 
 Moments = MomentSet | PrintedMomentSet
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from ._parallel import run_ordered
 from .errors import TruncationTooSmall
-from .fock import TAIL_LEVELS, TAIL_THRESHOLD, FockVector, _displaced_core, pad
+from .fock import TAIL_LEVELS, TAIL_THRESHOLD, FockVector, displaced_columns, pad
 
 #: Points per batch of the parity and characteristic-function routes; bounds memory.
 CHUNK = 4096
@@ -95,12 +95,13 @@ def required_dim(state: FockVector, beta_max: float) -> int:
 def _parity_values(state: FockVector, betas: np.ndarray) -> np.ndarray:
     """(2/pi) <parity> of D(beta)|state> for a flat array of betas.
 
-    A point's value depends in the last bits on the batch it is evaluated
-    in, so ``wigner_values(state, zs)[i]`` and ``wigner_point(state, zs[i])``
-    agree to about 1e-15, not bit for bit.  The state is padded to the
-    dimension that the batch's largest |beta| needs, and even at one
-    dimension the batched matrix product over a chunk of columns
-    accumulates in another order than the product with a single column.
+    The sum runs over |displaced_columns(work, betas)|^2, ``work`` being
+    the state padded to the dimension the batch's largest |beta| needs.
+    So a point's value depends in the last bits on its batch, and
+    ``wigner_values(state, zs)[i]`` and ``wigner_point(state, zs[i])``
+    agree to about 1e-15, not bit for bit: the padded dimension follows
+    the batch, and even at one dimension the batched matrix product over
+    a chunk of columns accumulates in another order than one column's.
     """
     if not np.all(np.isfinite(betas)):
         raise ValueError("phase-space points must be finite")
@@ -108,8 +109,7 @@ def _parity_values(state: FockVector, betas: np.ndarray) -> np.ndarray:
     signs = np.where(np.arange(work.dim) % 2 == 0, 1.0, -1.0)
 
     def eval_chunk(sl: slice) -> np.ndarray:
-        # parity only needs magnitudes, so the outer phase rotation is skipped
-        _, cols = _displaced_core(work, betas[sl])
+        cols = displaced_columns(work, betas[sl])
         abs2 = cols.real**2 + cols.imag**2
         tail = float(np.max(np.sum(abs2[-TAIL_LEVELS:, :], axis=0)))
         if tail > TAIL_THRESHOLD:

@@ -209,6 +209,12 @@ class TestWignerHalfWidth:
             "spacsim: invalid arguments: wigner_half_width: half width must be finite and >= 0, got -1.0\n"
         )
 
+    @pytest.mark.parametrize("step", [0.0, -0.5, 0.3, math.inf])
+    def test_a_bad_step_names_the_range(self, step):
+        with pytest.raises(RangeError) as err:
+            audit_columns(default_audit_grid(r_values=(1.0,), s_values=(0.5,)), ("wigner",), 1.0, step)
+        assert err.value.field == "wigner_half_width/wigner_step"
+
     def test_zero_gives_one_point_per_state(self):
         grid = default_audit_grid(r_values=(1.0,), s_values=(0.0, 0.5))
         (columns,) = audit_columns(grid, ("wigner",), 0.0)

@@ -620,6 +620,46 @@ class TestGridCaps:
         assert not out.exists() and not Path(str(out) + ".manifest").exists()
 
 
+class TestRangeErrors:
+    """A range error from grid flags names them, keeps grid_values' text after the names, and exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fig1b", "--r-step", "0"], "r_min/r_max/r_step: step must be positive, got 0.0"),
+            (["fig1a", "--s-step", "-0.5"], "s_min/s_max/s_step: step must be positive, got -0.5"),
+            (["fig1a", "--s-min", "1", "--s-max", "0"], "s_min/s_max/s_step: empty range [1.0, 0.0]"),
+            (["fig3", "--r-min", "2", "--r-max", "1"], "r_min/r_max/r_step: empty range [2.0, 1.0]"),
+            (["wigner", "--x-min", "1", "--x-max", "0"], "x_min/x_max/grid_step: empty range [1.0, 0.0]"),
+            (["wigner", "--p-min", "1", "--p-max", "0"], "p_min/p_max/grid_step: empty range [1.0, 0.0]"),
+            (["wigner", "--grid-step", "0"], "x_min/x_max/grid_step: step must be positive, got 0.0"),
+            (["audit", "--wigner-step", "0"], "wigner_half_width/wigner_step: step must be positive, got 0.0"),
+            (
+                ["audit", "--wigner-half-width", "1", "--wigner-step", "0.3"],
+                "wigner_half_width/wigner_step: range [-1.0, 1.0] is not a multiple of step 0.3",
+            ),
+        ],
+    )
+    def test_names_the_flags(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"spacsim: invalid arguments: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_wigner_values_beyond_the_bound_are_a_numerical_failure(monkeypatch, tmp_path, capsys):
+    """Oracle values above 2/pi exit 3, naming the bound, and leave no CSV or manifest behind."""
+    import spacsim.cli
+
+    monkeypatch.setattr(spacsim.cli, "wigner_grid_values", lambda state, xs, ps: np.full((xs.size, ps.size), 0.7))
+    out = tmp_path / "never.csv"
+    assert run("wigner", "--grid-step", "0.5", "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "spacsim: numerical failure: oracle Wigner values violate the 2/pi bound; numerical failure\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_printed_sweep_overflow_names_its_first_failing_row(tmp_path, capsys):
     """At s = 1e62 the printed moments overflow a double; the sweep fails as printed_moments does for that row."""
     out = tmp_path / "never.csv"

@@ -1,6 +1,7 @@
 """Parameter validation, weak value and postselection probability."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from spacsim.params import (
     MIN_TRUNC,
     TAIL_LEVELS,
     ExperimentParams,
+    point_columns,
     postselection_probability,
     validate,
     weak_value,
@@ -65,6 +67,55 @@ class TestWeakValue:
     def test_diverges_at_pi(self):
         with pytest.raises(DegeneratePostselection):
             weak_value(0.0, math.pi)
+
+
+class TestPointColumns:
+    """point_columns validates any number of points and gives their alpha, s and weak-value columns."""
+
+    GRID = [
+        params(r=r, theta=theta, phi=phi, s=s)
+        for r, theta, phi, s in itertools.product((0.0, 0.5, 2.0), (0.0, 2.5), (0.0, 1.0, 3.0), (0.0, 0.25, 4.0))
+    ]
+
+    @staticmethod
+    def bits(array: np.ndarray) -> bytes:
+        return np.ascontiguousarray(array).tobytes()
+
+    def test_a_grid_has_each_points_bits(self):
+        alpha, s, w = point_columns(*self.GRID)
+        assert (alpha.dtype, s.dtype, w.dtype) == (np.complex128, np.float64, np.complex128)
+        assert alpha.shape == s.shape == w.shape == (len(self.GRID),)
+        for j, point in enumerate(self.GRID):
+            one = point_columns(point)
+            assert [self.bits(column) for column in one] == [self.bits(column[j : j + 1]) for column in (alpha, s, w)]
+            expected = np.array([point.alpha]), np.array([point.s]), np.array([weak_value(point.delta, point.phi)])
+            assert [self.bits(column) for column in one] == [self.bits(column) for column in expected]
+
+    def test_no_points_give_empty_columns(self):
+        assert [column.shape for column in point_columns()] == [(0,), (0,), (0,)]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [params(s=-1.0), params(r=-1.0)],
+            [params(phi=math.pi), params(s=-1.0)],
+            [params(theta=math.nan), params(phi=math.pi)],
+            [params(trunc=1), params(delta=7.0)],
+        ],
+    )
+    def test_the_first_invalid_point_raises_what_validate_raises(self, bad):
+        grid = self.GRID[:5] + bad[:1] + self.GRID[5:9] + bad[1:] + self.GRID[9:]
+        with pytest.raises(type(validate_error(bad[0]))) as err:
+            point_columns(*grid)
+        assert str(err.value) == str(validate_error(bad[0]))
+
+
+def validate_error(point: ExperimentParams) -> Exception:
+    try:
+        validate(point)
+    except Exception as exc:  # noqa: BLE001 - the error itself is the value under test
+        return exc
+    raise AssertionError(f"{point} is valid")
 
 
 class TestPostselectionProbability:

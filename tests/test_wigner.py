@@ -9,7 +9,7 @@ import pytest
 
 from spacsim import wigner
 from spacsim.errors import TruncationTooSmall
-from spacsim.fock import basis_state, coherent, final_pointer_state, spacs
+from spacsim.fock import basis_state, coherent, displaced_columns, final_pointer_state, pad, spacs
 from spacsim.params import FIGURE_PRESET
 from spacsim.wigner import (
     CharacteristicFunctionGrid,
@@ -70,6 +70,15 @@ class TestDisplacedParity:
         batch = wigner_values(state, zs)
         single = np.array([wigner_point(state, z) for z in zs])
         assert np.max(np.abs(batch - single)) <= 1e-14
+
+    def test_parity_sums_the_displaced_columns(self):
+        # one displacement routine: the parity values are (2/pi) sum_n (-1)^n |<n|D(-z)|psi>|^2 over displaced_columns
+        state = final_pointer_state(FIGURE_PRESET.with_(r=1.5, s=4.0))
+        zs = np.array([0.3 - 0.2j, -1.0 + 0.5j, 2.0j, 0.0])
+        work = pad(state, required_dim(state, float(np.max(np.abs(zs)))))
+        cols = displaced_columns(work, -zs)
+        expected = (2.0 / math.pi) * (np.where(np.arange(work.dim) % 2 == 0, 1.0, -1.0) @ (cols.real**2 + cols.imag**2))
+        assert wigner_values(state, zs).tobytes() == expected.tobytes()
 
 
 class TestPositionRepresentationGrid:

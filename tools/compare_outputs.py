@@ -36,9 +36,12 @@ onto the distinct |p| where most values of p have no mirror.  A
 printed sweep of 4,096 couplings overflows at its last row alone, so
 the error must still name that row.  Two audits follow: one at
 truncation 4096, whose 30 states take four blocks of eight, and one
-whose states at r = 12 fail the truncation tail check.  Last come three oracle points: the
-preset, s = 0 (fidelity exactly 1) and an amplitude of 40, which fails
-the truncation tail check.
+whose states at r = 12 fail the truncation tail check.  Three range
+errors follow, each of which must name its flags: an empty x range of
+``wigner``, a zero ``--r-step`` and an audit half width that is not a
+multiple of its step.  Last come three oracle points: the preset,
+s = 0 (fidelity exactly 1) and an amplitude of 40, which fails the
+truncation tail check.
 """
 
 from __future__ import annotations
@@ -103,6 +106,9 @@ def cases() -> list[tuple[list[str], bool]]:
         ["fig1a", "--backend", "printed", "--phis", "1.0", "--s-max", "4.00064e51", "--s-step", "9.76957264957265e+47"],
         ["audit", "--trunc", "4096", "--wigner-step", "1.5"],
         ["audit", "--r-values", "0,12"],
+        ["wigner", "--x-min", "1", "--x-max", "0"],
+        ["fig1b", "--r-step", "0"],
+        ["audit", "--wigner-half-width", "1", "--wigner-step", "0.3"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed"])
