@@ -323,7 +323,8 @@ def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
     branches = []
     for beta in (s[pair] / 2, -s[pair] / 2):  # real, so beta* = beta
         shifted = _coherent_columns(alphas[pair] + beta, dim)
-        phase = np.exp(1j * (beta * alphas[pair].conj()).imag)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase's column fails its tail check
+            phase = np.exp(1j * (beta * alphas[pair].conj()).imag)
         branch, share, _ = _normalised(phase * (_raised(shifted) - beta * shifted))
         branches.append((branch.take(pair_inverse, axis=1), share[pair_inverse]))
     (plus, plus_share), (minus, minus_share) = branches

@@ -36,11 +36,18 @@ a third, independent spot-check of the parity route.  It sums <D(lambda)>
 from the Laguerre matrix elements of D (Cahill & Glauber, Phys. Rev.
 177, 1857 (1969)) over the state's Fock support, with no padding and no
 code shared with the displacement in :mod:`spacsim.fock`.
+
+The Hermite recurrence of the grid route and the Laguerre recurrence of
+the characteristic function run in one per-point scaled frame
+(:func:`_scaled_sum`), which keeps them from underflowing or
+overflowing, and share one far-point rule: |u| and |lambda| are clipped
+to :data:`_FAR`, where every term is 0, so far points give 0.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -69,14 +76,14 @@ PSI_TAIL_THRESHOLD = 1e-24
 #: Checked before allocating; the default 201 x 201 panel needs about 4e4.
 MAX_GRID_ELEMENTS = 2**24
 
-#: Ceiling of the Hermite recurrence's scaled frame; h_n above it is divided by it.
+#: Ceiling of the recurrence frame of :func:`_scaled_sum`; a value above it is divided by it.
 _RESCALE = 1e150
 
-#: Largest |lambda| at which the characteristic-function route runs the
-#: Laguerre recurrence.  Beyond it the frame's products could overflow,
-#: and every <m|D(lambda)|n> with m, n below 2^60 is below
-#: exp(-|lambda|^2/4), so 0.
-_FAR_LAMBDA = 1e50
+#: Largest |u| of the Hermite and |lambda| of the Laguerre recurrence;
+#: farther arguments are clipped to it.  There the log-scale of
+#: :func:`_scaled_sum` is below -1e99, so every value is 0, and a step
+#: multiplies the frame by at most about 1e100, so no product overflows.
+_FAR = 1e50
 
 
 def required_dim(state: FockVector, beta_max: float) -> int:
@@ -85,10 +92,16 @@ def required_dim(state: FockVector, beta_max: float) -> int:
     The displaced occupation is concentrated below (|beta| + sqrt(n_s))^2
     for a state supported up to level n_s; eight standard deviations of
     Poisson-like spread are added on top, then rounded up to a multiple
-    of 32 so the cached generator factorisations are reused.
+    of 32 so the cached generator factorisations are reused.  Raises
+    ValueError, before anything is allocated, when the square of the
+    padded dimension (the displacement's eigenvector matrix) exceeds
+    :data:`MAX_GRID_ELEMENTS`; for the figure preset that allows
+    |beta| up to about 54.
     """
     m = beta_max + math.sqrt(state.support()) + 1.0
-    need = max(int(math.ceil(m * m + 8.0 * m + 12.0)), state.dim)
+    need = m * m + 8.0 * m + 12.0
+    check_grid_elements(need * need)  # a Python float overflows to inf silently
+    need = max(int(math.ceil(need)), state.dim)
     return ((need + 31) // 32) * 32 if need > state.dim else state.dim
 
 
@@ -145,30 +158,27 @@ def check_grid_elements(*counts: float) -> None:
         )
 
 
-def _position_amplitudes(amps: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """psi(x) = <x|psi> for X = (a + a^dagger)/2 at every point of ``xs``.
+def _scaled_sum(coef: np.ndarray, log_scale: np.ndarray, log_bound: float, step: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """sum_n coef[n] f_n at every point, with f_0 = 1 and f_n = step(n, f_(n-2), f_(n-1)).
 
-    Sums amps[n] * 2^(1/4) h_n(sqrt(2) x) with the normalised Hermite
-    functions h_n from their three-term recurrence.  The recurrence runs
-    in a per-point scaled frame: h_0 = pi^(-1/4) exp(-u^2/2) underflows
-    for |u| > ~38.6 although h_n is O(1) near the turning point of
-    high levels, so the frame starts at exp(-u^2/2) = 1 and is divided
-    by _RESCALE, with a running log-scale, wherever h_n exceeds it.
-    In this frame h_(n-1) and h_n are never both far below 1, so it
-    never needs scaling up.  |h_n(u)| <= pi^(-1/4) (Indritz, Proc. Amer.
-    Math. Soc. 12, 981 (1961)), so the frame stays below exp(u^2/2), and
-    where that is below _RESCALE / e for every point the per-level test
-    is skipped: it could find nothing, so the values are the same.
+    The f_n run in a per-point scaled frame: the recurrence's values are
+    f_n exp(log_scale).  Its first value can underflow although later
+    ones are O(1), so the frame starts at 1 and is divided by _RESCALE,
+    with the running sum and log(_RESCALE) added to the log-scale,
+    wherever f_n exceeds it.  In this frame f_(n-1) and f_n are never
+    both far below 1, so it never needs scaling up.  ``log_bound``
+    bounds the log of every |value|, so the frame stays below
+    exp(log_bound - log_scale); where that is below _RESCALE / e at
+    every point the per-level test could find nothing and is skipped.
+    Returns the sum in the frame and the log-scale, updated in place.
     """
-    u = math.sqrt(2.0) * np.asarray(xs, dtype=float)
-    log_scale = -0.5 * u * u - 0.25 * math.log(math.pi)
-    can_rescale = 0.5 * float(np.max(u * u)) > math.log(_RESCALE) - 1.0
-    prev = np.zeros_like(u)
-    cur = np.ones_like(u)
-    acc = amps[0] * cur
-    for n in range(1, amps.size):
-        prev, cur = cur, math.sqrt(2.0 / n) * u * cur - math.sqrt((n - 1) / n) * prev
-        acc += amps[n] * cur
+    can_rescale = float(np.max(log_bound - log_scale)) > math.log(_RESCALE) - 1.0
+    prev = np.zeros_like(log_scale)
+    cur = np.ones_like(log_scale)
+    acc = coef[0] * cur
+    for n in range(1, coef.size):
+        prev, cur = cur, step(n, prev, cur)
+        acc += coef[n] * cur
         if not can_rescale:
             continue
         big = np.abs(cur) > _RESCALE
@@ -177,6 +187,26 @@ def _position_amplitudes(amps: np.ndarray, xs: np.ndarray) -> np.ndarray:
             cur[big] /= _RESCALE
             acc[big] /= _RESCALE
             log_scale[big] += math.log(_RESCALE)
+    return acc, log_scale
+
+
+def _position_amplitudes(amps: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """psi(x) = <x|psi> for X = (a + a^dagger)/2 at every point of ``xs``.
+
+    Sums amps[n] * 2^(1/4) h_n(sqrt(2) x) with the normalised Hermite
+    functions h_n from their three-term recurrence in the frame of
+    :func:`_scaled_sum`, whose log-scale starts at h_0 = pi^(-1/4)
+    exp(-u^2/2); h_0 underflows for |u| > ~38.6 although h_n is O(1)
+    near the turning point of high levels.  |h_n(u)| <= pi^(-1/4)
+    (Indritz, Proc. Amer. Math. Soc. 12, 981 (1961)) is the frame's
+    bound.  |u| is clipped to _FAR, where psi is 0.
+    """
+    u = np.clip(math.sqrt(2.0) * np.asarray(xs, dtype=float), -_FAR, _FAR)
+
+    def step(n: int, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+        return math.sqrt(2.0 / n) * u * cur - math.sqrt((n - 1) / n) * prev
+
+    acc, log_scale = _scaled_sum(amps, -0.5 * u * u - 0.25 * math.log(math.pi), -0.25 * math.log(math.pi), step)
     return 2.0**0.25 * acc * np.exp(log_scale)
 
 
@@ -285,27 +315,19 @@ def _radial_sum(coef: np.ndarray, k: int, r: np.ndarray) -> np.ndarray:
     The matrix element is sqrt(n!/(n+k)!) r^k exp(-r^2/2) L_n^(k)(r^2);
     the three-term recurrence of L_n^(k) in n is run on these scaled
     elements, which never exceed 1 (L_n^(k)(0) = C(n+k, n) itself
-    overflows a double above about 1030 levels).  Row 0,
-    r^k exp(-r^2/2) / sqrt(k!), underflows for r above about 38.6
-    although rows near n = r^2/4 are O(1), so, as in
-    :func:`_position_amplitudes`, the recurrence runs in a per-point
-    frame that starts at 1 with row 0 as its log-scale and is divided
-    by _RESCALE wherever it exceeds it.  r must not exceed _FAR_LAMBDA.
+    overflows a double above about 1030 levels), in the frame of
+    :func:`_scaled_sum` with bound 1.  The log-scale starts at row 0,
+    r^k exp(-r^2/2) / sqrt(k!), which underflows for r above about 38.6
+    although rows near n = r^2/4 are O(1).  r is clipped to _FAR, where
+    every element is 0.
     """
+    r = np.minimum(r, _FAR)
     x = r * r
-    log_scale = k * np.log(np.where(r > 0, r, 1.0)) - x / 2 - math.lgamma(k + 1.0) / 2
-    prev = np.zeros_like(r)
-    cur = np.ones_like(r)
-    acc = coef[0] * cur
-    for n in range(coef.size - 1):
-        prev, cur = cur, ((2 * n + 1 + k - x) * cur - math.sqrt(n * (n + k)) * prev) / math.sqrt((n + 1) * (n + k + 1))
-        acc += coef[n + 1] * cur
-        if cur.max() > _RESCALE or cur.min() < -_RESCALE:
-            big = np.abs(cur) > _RESCALE
-            prev[big] /= _RESCALE
-            cur[big] /= _RESCALE
-            acc[big] /= _RESCALE
-            log_scale[big] += math.log(_RESCALE)
+
+    def step(n: int, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+        return ((2 * n - 1 + k - x) * cur - math.sqrt((n - 1) * (n - 1 + k)) * prev) / math.sqrt(n * (n + k))
+
+    acc, log_scale = _scaled_sum(coef, k * np.log(np.where(r > 0, r, 1.0)) - x / 2 - math.lgamma(k + 1.0) / 2, 0.0, step)
     return acc * np.exp(log_scale)
 
 
@@ -314,25 +336,19 @@ def _characteristic_values(amps: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
     With u = lambda/|lambda| and R_n the element of :func:`_radial_sum`, <n+k|D|n> = u^k R_n
     and <n|D|n+k> = (-u*)^k R_n, so diagonal k adds b = u^k sum_n psi_(n+k)* psi_n R_n
-    and, for k > 0, (-1)^k b*.  Points with |lambda| above _FAR_LAMBDA get 0.
+    and, for k > 0, (-1)^k b*.
     """
-    chi = np.zeros(lams.size, dtype=np.complex128)
     r = np.abs(lams)
-    near = r <= _FAR_LAMBDA
-    if not near.any():
-        return chi
-    r, lams = r[near], lams[near]
     unit = lams / np.where(r > 0, r, 1.0)  # 0 at lambda = 0, where only k = 0 contributes
     power = np.ones(lams.size, dtype=np.complex128)
-    total = np.zeros(lams.size, dtype=np.complex128)
+    chi = np.zeros(lams.size, dtype=np.complex128)
     for k in range(amps.size):
         coef = amps[k:].conj() * amps[: amps.size - k]
         used = np.flatnonzero(coef)
         if used.size:  # rows past the last nonzero coefficient add nothing
             b = power * _radial_sum(coef[: used[-1] + 1], k, r)
-            total += b if k == 0 else b + (-1) ** k * b.conj()
+            chi += b if k == 0 else b + (-1) ** k * b.conj()
         power *= unit
-    chi[near] = total
     return chi
 
 

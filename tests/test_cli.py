@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,16 @@ class TestExitCodes:
         ) == 0
         _, rows = read_csv(out)
         assert [row[2] for row in rows] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("x", ["1e154", "1e170", "1e300"])
+    def test_oracle_wigner_far_from_origin(self, x, tmp_path, capsys):
+        # u^2 = 2 x^2 of the Hermite recurrence overflows a double from x = 9.5e153; W is exactly 0 there
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("wigner", "--x-min", x, "--x-max", x, "--p-min", "0", "--p-max", "1", "--grid-step", "0.5", "--out", str(out))
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]] == ["0.0"] * 3
 
 
 class TestDeterminism:

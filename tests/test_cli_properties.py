@@ -90,6 +90,7 @@ def sweep_argv(draw) -> list[str]:
 @example(["fig1a", "--s-min=0.0", "--s-max=0.5", "--s-step=0.25", "--phis=", "--trunc=16"])  # no angle
 @example(["fig1b", "--r-min=0.0", "--r-max=0.5", "--r-step=0.25", "--phis=", "--trunc=16"])
 @example(["fig3", "--r-min=0.0", "--r-max=0.5", "--r-step=0.25", "--s-values=", "--trunc=16"])  # no coupling
+@example(["fig1b", "--r-min=0.0", "--r-max=1e300", "--r-step=1e300", "--s=1e300", "--trunc=6", "--backend=oracle"])  # branch phase overflows
 def test_sweep_commands_exit_cleanly(argv):
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "out.csv"
@@ -215,6 +216,7 @@ def test_audit_exits_cleanly(argv, out_is_directory):
 
 @settings(max_examples=25, deadline=2000, derandomize=True, database=None)
 @given(point_argv())
+@example(["point", "--r=1e300", "--s=1e300", "--trunc=6", "--backend=oracle"])  # branch phase overflows
 def test_point_exits_cleanly(argv):
     assert_exits_cleanly(argv, False)
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,28 @@ def test_far_point_has_the_same_bits_alone_and_among_near_points():
     assert batch[:-1].tobytes() == wigner._position_amplitudes(amps, near).tobytes()
 
 
+@pytest.mark.parametrize("x", [1e50, 1e154, 1e170, 1e300])
+def test_far_position_amplitudes_are_zero(x):
+    # from |x| = 9.5e153 u^2 overflows a double; |u| is clipped to wigner._FAR, where every term is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = wigner._position_amplitudes(spacs(2.0, 64).amps, np.array([x, -x]))
+    assert np.all(psi == 0)
+
+
+def test_near_radial_sums_have_the_same_bits_alone_and_beside_a_far_point():
+    # at r = 30 row 0 is exp(-450) and the rows near n = 225 are O(1), so the frame of these 400 rows
+    # passes _RESCALE; near the origin it cannot, and alone the near points skip the per-level test
+    coef = np.random.default_rng(3).normal(size=400)
+    near, far = np.linspace(0.0, 3.0, 13), np.array([30.0])
+    for k in (0, 1, 7):
+        batch = wigner._radial_sum(coef, k, np.append(near, far))
+        alone = wigner._radial_sum(coef, k, far)
+        assert abs(alone[0]) > 1e-3
+        assert batch[-1:].tobytes() == alone.tobytes()
+        assert batch[:-1].tobytes() == wigner._radial_sum(coef, k, near).tobytes()
+
+
 class TestQuadratureCrossCheck:
     def test_vacuum(self):
         value = wigner_point_quadrature(basis_state(0, 64), 0, cutoff=5, res=0.02)
@@ -258,3 +281,13 @@ class TestReferenceRouteInput:
         build = wigner_normalization if route == "normalization" else CharacteristicFunctionGrid
         # a 1e-6 step asks for 1.2e7 cells per axis: 96 MB for the axis alone
         assert _peak_bytes(lambda: build(state, 6.0, step)) < 2**20
+
+    @pytest.mark.parametrize("z", [300.0, 1e170])
+    def test_padded_dimension_is_bounded_before_allocating(self, z):
+        # |z| = 300 would pad the preset state to 95,776 levels, a 147 GB eigenvector matrix;
+        # at 1e170 the padded dimension overflows a double
+        state = final_pointer_state(FIGURE_PRESET)
+        assert _peak_bytes(lambda: wigner_point(state, z)) < 2**20
+        with pytest.raises(ValueError, match="16777216"):
+            required_dim(state, z)
+        assert required_dim(state, 54.0) == 4032  # 4032^2 is within wigner.MAX_GRID_ELEMENTS

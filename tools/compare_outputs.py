@@ -39,9 +39,13 @@ truncation 4096, whose 30 states take four blocks of eight, and one
 whose states at r = 12 fail the truncation tail check.  Three range
 errors follow, each of which must name its flags: an empty x range of
 ``wigner``, a zero ``--r-step`` and an audit half width that is not a
-multiple of its step.  Last come three oracle points: the preset,
-s = 0 (fidelity exactly 1) and an amplitude of 40, which fails the
-truncation tail check.
+multiple of its step.  Two Wigner grids end the written runs: a
+(10, 0) panel at truncation 512, where the Hermite recurrence's frame
+passes its rescale ceiling, and a panel at x = 1e170, where u^2
+overflows a double and every value is 0.  Last come four oracle
+points: the preset, s = 0 (fidelity exactly 1), an amplitude of 40,
+which fails the truncation tail check, and r = s = 1e300, whose
+squared amplitude overflows a double.
 """
 
 from __future__ import annotations
@@ -109,13 +113,16 @@ def cases() -> list[tuple[list[str], bool]]:
         ["wigner", "--x-min", "1", "--x-max", "0"],
         ["fig1b", "--r-step", "0"],
         ["audit", "--wigner-half-width", "1", "--wigner-step", "0.3"],
+        ["wigner", "--r", "10", "--s", "0", "--trunc", "512", "--x-min", "0", "--x-max", "14",
+         "--p-min", "0", "--p-max", "14", "--grid-step", "0.5"],
+        ["wigner", "--x-min", "1e170", "--x-max", "1e170", "--p-min", "0", "--p-max", "1", "--grid-step", "0.5"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed"])
     printing.append(["point", "--backend", "printed", "--s", "1e200"])
     printing.append(["point", "--backend", "printed", "--s", "1e62"])
     printing.append(["fig1a", "--out", EXISTING_DIR])
-    printing += [["point"], ["point", "--s", "0"], ["point", "--r", "40"]]
+    printing += [["point"], ["point", "--s", "0"], ["point", "--r", "40"], ["point", "--r", "1e300", "--s", "1e300"]]
     return [(argv, True) for argv in writing] + [(argv, False) for argv in printing]
 
 
