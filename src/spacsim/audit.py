@@ -9,24 +9,24 @@ residuals; a structural misprint leaves large residuals that no single
 scale removes.  Nothing is corrected here - the numbers are the
 deliverable.
 
-The oracle states are built in consecutive blocks of grid points, as
-the sweeps build theirs (:func:`~spacsim.sweeps.pointer_blocks`), and
-each block's moments are taken in one call; a column's bits do not
-depend on its block.  Only the Wigner comparison runs state by state,
-because each state has its own position lattice.
+The oracle states are built in the sweeps' walk,
+:func:`~spacsim.sweeps.pointer_blocks` (runs of one truncation, each
+grouped by (alpha, s), in blocks), and each block's moments are taken
+in one call; a column's bits do not depend on its block.  Only the
+Wigner comparison runs state by state, because each state has its own
+position lattice; it is stored at its grid index, so every quantity's
+points stay in grid order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import RangeError, TruncationTooSmall
-from .fock import PointerColumns, column_moments, column_state
+from .fock import column_moments, column_state
 from .params import FIGURE_PRESET, ExperimentParams, point_columns
 from .printed import evaluate_points, printed_kappa_sq_columns, printed_moment_columns, printed_wigner_values
 from .sweeps import grid_values, pointer_blocks
@@ -161,15 +161,6 @@ def _fitted(
     )
 
 
-def _pointer_blocks(grid: list[ExperimentParams], alpha, s, w) -> Iterator[tuple[np.ndarray, PointerColumns]]:
-    """:func:`pointer_blocks` over each run of consecutive points of one truncation, in grid order."""
-    start = 0
-    for trunc, run in itertools.groupby(params.trunc for params in grid):
-        stop = start + sum(1 for _ in run)
-        yield from pointer_blocks(alpha, s, w, trunc, np.arange(start, stop))
-        start = stop
-
-
 def audit_columns(
     grid: list[ExperimentParams] | None = None,
     quantities: tuple[str, ...] = ALL_QUANTITIES,
@@ -181,11 +172,12 @@ def audit_columns(
     One :class:`QuantityColumns` per requested quantity, in the order
     requested (a repeated name counts once), with its points in grid
     order.  The printed moments and kappa^2 are evaluated once over the
-    whole grid.  Each state is built once, in consecutive blocks of
-    points of one truncation; then the points run in grid order, and
-    the first whose state fails the truncation tail check raises
-    TruncationTooSmall after the Wigner comparisons of the points
-    before it.
+    whole grid.  Each state is built once, in the order of
+    :func:`~spacsim.sweeps.pointer_blocks`, and the first point in that
+    order whose state fails the truncation tail check raises
+    TruncationTooSmall.  That is grid order unless a run of one
+    truncation repeats an (alpha, s) pair; a CLI grid repeats a pair
+    only as a repeated point, which has its twin's rows and error.
     """
     unknown = set(quantities) - set(ALL_QUANTITIES)
     if unknown:
@@ -214,8 +206,8 @@ def audit_columns(
             raise RangeError("wigner_half_width/wigner_step", str(exc)) from exc
         check_grid_elements(axis.size**2)
         zs = axis[:, None] + 1j * axis[None, :]
-        oracle["wigner"], printed["wigner"] = [], []
-    for block, cols in _pointer_blocks(grid, *columns):
+        oracle["wigner"], printed["wigner"] = [None] * len(grid), [None] * len(grid)
+    for block, cols in pointer_blocks(*columns, np.array([params.trunc for params in grid])):
         if wanted_moments:
             om = column_moments(cols.final)
             for q in wanted_moments:
@@ -226,8 +218,8 @@ def audit_columns(
             if error:
                 raise TruncationTooSmall(error)
             if "wigner" in quantities:
-                oracle["wigner"].append(wigner_grid_values(column_state(cols.final[:, j]), axis, axis).ravel())
-                printed["wigner"].append(printed_wigner_values(grid[point], zs).ravel())
+                oracle["wigner"][point] = wigner_grid_values(column_state(cols.final[:, j]), axis, axis).ravel()
+                printed["wigner"][point] = printed_wigner_values(grid[point], zs).ravel()
 
     echo = {name: np.array([getattr(params, name) for params in grid], dtype=float) for name in ECHOED}
     nan = np.full(len(grid), math.nan)

@@ -43,6 +43,11 @@ import numpy as np
 from .errors import NonPositiveNorm, NumericalOverflow
 from .params import ExperimentParams, point_columns
 
+#: Largest |x| and |p| at which the printed Wigner form is evaluated; a point
+#: beyond it is moved onto it.  There every Gaussian factor of the form is 0,
+#: while the squares of x and p stay below the largest double.
+_FAR_Z = 1e153
+
 
 @dataclass(frozen=True)
 class PrintedMomentSet:
@@ -322,11 +327,16 @@ def _w_helper(alpha: complex, s: float, z: complex) -> float:
 def printed_wigner_values(params: ExperimentParams, zs: np.ndarray) -> np.ndarray:
     """Closed-form Wigner function exactly as printed, at an array of points (any shape).
 
-    Overflow raises :class:`NumericalOverflow` naming the point (see
+    x and p are clipped to +-:data:`_FAR_Z` first, where the value is
+    0, so a far point's squares cannot overflow.  Overflow raises
+    :class:`NumericalOverflow` naming the point (see
     :func:`evaluate_points`) rather than leaving inf * 0 = NaN in the
     result.
     """
-    z = np.asarray(zs, dtype=np.complex128).ravel()  # a 0-d z would take numpy's scalar arithmetic, which rounds differently
+    z = np.array(zs, dtype=np.complex128).ravel()  # a 0-d z would take numpy's scalar arithmetic, which rounds differently
+    # part by part, on a copy: x + 1j * p would turn a -0.0 part into +0.0
+    z.real = np.clip(z.real, -_FAR_Z, _FAR_Z)
+    z.imag = np.clip(z.imag, -_FAR_Z, _FAR_Z)
     columns = point_columns(params)
     # kappa^2 is a one-entry column, as for the moments; the other parameter
     # terms are Python numbers, which keeps the printed panels' values

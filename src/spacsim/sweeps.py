@@ -7,11 +7,13 @@ squeezing report per point.  Rows are emitted in a fixed order
 
 :func:`report_columns` evaluates 1-D columns of valid points in any
 order, one array per report field, in input order.  The oracle backend
-groups the points by (alpha, s), in order of first appearance (on a
-figure grid: value by value, each value's angles side by side), and
-sends consecutive blocks of them through
-:func:`~spacsim.fock.pointer_columns`, which builds the displaced
-branches once per pair for all its angles.  A point whose state fails
+builds the states through :func:`pointer_blocks`, the one walk that
+every oracle consumer (the audit too) takes over a point set: runs of
+one truncation in input order, each grouped by (alpha, s) in order of
+first appearance (on a figure grid: value by value, each value's
+angles side by side), in consecutive blocks that
+:func:`~spacsim.fock.pointer_columns` builds, the displaced branches
+once per pair for all its angles.  A point whose state fails
 the truncation tail check becomes a row error marker while the
 evaluation carries on; any other error propagates.  The printed
 backend evaluates the closed forms over all points at once; if one
@@ -109,27 +111,39 @@ class SweepColumns:
         ]
 
 
-def pointer_blocks(alpha, s, w, trunc: int, order: np.ndarray) -> Iterator[tuple[np.ndarray, PointerColumns]]:
-    """Point indices and pointer states of ``order`` in consecutive blocks.
+def pointer_blocks(alpha, s, w, trunc: int | np.ndarray) -> Iterator[tuple[np.ndarray, PointerColumns]]:
+    """Point indices and pointer states of 1-D columns of valid points, in consecutive blocks.
 
-    A block holds the next max(1, BLOCK_ELEMENTS // trunc) indices of
-    ``order``, and its states are built by one :func:`pointer_columns`
-    call when the block is reached.
+    This walk alone decides the order in which oracle states are built.
+    ``trunc`` is one truncation or one per point.  The points split into
+    runs of one truncation, in input order; each run's points are
+    grouped by (alpha, s), in order of first appearance, so a pair's
+    points side by side share their branches.  A block holds the next
+    max(1, BLOCK_ELEMENTS // trunc) points of a run, and its states are
+    built by one :func:`pointer_columns` call when the block is reached.
+    An empty point set yields no block.
     """
-    width = max(1, BLOCK_ELEMENTS // trunc)
-    for start in range(0, order.size, width):
-        block = order[start : start + width]
-        yield block, pointer_columns(alpha[block], s[block], w[block], trunc)
+    truncs = np.broadcast_to(trunc, alpha.shape)
+    cuts = np.flatnonzero(truncs[1:] != truncs[:-1]) + 1
+    for run in np.split(np.arange(alpha.size), cuts) if alpha.size else ():
+        keys = row_keys(alpha.real[run], alpha.imag[run], s[run])
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = run[np.argsort(first[inverse], kind="stable")]
+        run_trunc = int(truncs[run[0]])
+        width = max(1, BLOCK_ELEMENTS // run_trunc)
+        for start in range(0, order.size, width):
+            block = order[start : start + width]
+            yield block, pointer_columns(alpha[block], s[block], w[block], run_trunc)
 
 
 def report_columns(alpha, s, w, trunc: int, backend: str, point) -> tuple[SqueezingReport, tuple[str, ...]]:
     """Reports and row errors of 1-D columns of valid points in any order, both in input order.
 
-    The oracle groups the points by (alpha, s), in order of first
-    appearance, and builds their states through :func:`pointer_blocks`; a
-    row error is prefixed ``TruncationTooSmall: ``.  The printed
-    backend evaluates every point at once, and a failure names
-    ``point(j)`` of the first failing point.
+    The oracle builds the states in the order of :func:`pointer_blocks`
+    and takes each block's reports in one call; a row error is prefixed
+    ``TruncationTooSmall: ``.  The printed backend evaluates every point
+    at once, and a failure names ``point(j)`` of the first failing
+    point.
     """
     if backend == "printed":
         return printed_column_report(alpha, s, w, point), ("",) * alpha.size
@@ -137,9 +151,7 @@ def report_columns(alpha, s, w, trunc: int, backend: str, point) -> tuple[Squeez
         raise ValueError(f"unknown backend {backend!r}")
     report = SqueezingReport(*(np.empty(alpha.size) for _ in fields(SqueezingReport)))
     errors = [""] * alpha.size
-    _, first, inverse = np.unique(row_keys(alpha.real, alpha.imag, s), return_index=True, return_inverse=True)
-    order = np.argsort(first[inverse], kind="stable")  # a pair's points side by side share their branches
-    for block, cols in pointer_blocks(alpha, s, w, trunc, order):
+    for block, cols in pointer_blocks(alpha, s, w, trunc):
         for name, column in vars(column_report(cols)).items():
             getattr(report, name)[block] = column
         for row, e in zip(block.tolist(), cols.errors):

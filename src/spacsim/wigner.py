@@ -100,7 +100,12 @@ def required_dim(state: FockVector, beta_max: float) -> int:
     """
     m = beta_max + math.sqrt(state.support()) + 1.0
     need = m * m + 8.0 * m + 12.0
-    check_grid_elements(need * need)  # a Python float overflows to inf silently
+    if not need * need <= MAX_GRID_ELEMENTS:  # a Python float overflows to inf silently
+        levels = f"{math.ceil(need):.6g}" if math.isfinite(need) else "1e308"
+        raise ValueError(
+            f"displacing by |beta| = {beta_max:.6g} needs a padded dimension of at least {levels} Fock levels, whose "
+            f"square (the displacement's eigenvector matrix) exceeds {MAX_GRID_ELEMENTS} elements"
+        )
     need = max(int(math.ceil(need)), state.dim)
     return ((need + 31) // 32) * 32 if need > state.dim else state.dim
 

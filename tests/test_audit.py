@@ -168,6 +168,22 @@ class TestColumns:
                 size = alone.oracle.size
                 assert a.oracle[j * size : (j + 1) * size].tobytes() == alone.oracle.tobytes(), (j, a.quantity)
 
+    def test_repeated_points_keep_grid_order_bit_for_bit(self, monkeypatch):
+        couplings = []
+        original = spacsim.sweeps.pointer_columns
+        monkeypatch.setattr(spacsim.sweeps, "pointer_columns", lambda *args: couplings.extend(args[1].tolist()) or original(*args))
+        grid = default_audit_grid(r_values=(1.0, 0.5, 1.0), s_values=(0.5, 2.0, 0.5))
+        repeated = audit_columns(grid)
+        assert couplings != [params.s for params in grid]  # the walk puts each point beside its twins
+        for j, params in enumerate(grid):
+            for a, alone in zip(repeated, audit_columns([params]), strict=True):
+                size = alone.oracle.size
+                for name in ("x", "p", "oracle", "printed"):
+                    got = getattr(a, name)[j * size : (j + 1) * size]
+                    assert got.tobytes() == getattr(alone, name).tobytes(), (j, a.quantity, name)
+                for name, echo in alone.echo.items():
+                    assert a.echo[name][j * size : (j + 1) * size].tobytes() == echo.tobytes(), (j, a.quantity, name)
+
     def test_failing_state_raises_after_the_wigner_comparisons_before_it(self, monkeypatch):
         compared = []
         original = spacsim.audit.wigner_grid_values

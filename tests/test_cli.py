@@ -267,6 +267,20 @@ class TestExitCodes:
         assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]] == ["0.0"] * 3
 
 
+    @pytest.mark.parametrize("x", ["1e155", "1e300", "-1e300"])
+    def test_printed_wigner_far_from_origin_is_zero(self, x, tmp_path, capsys):
+        # |2z - alpha|^2 overflows a double from x = 9e153; the printed Gaussian factor is 0 there
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                "wigner", "--backend", "printed", f"--x-min={x}", f"--x-max={x}", "--p-min", "0", "--p-max", "1",
+                "--grid-step", "0.5", "--out", str(out),
+            )
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]] == ["0.0"] * 3
+
+
 class TestDeterminism:
     def test_sweep_serial_vs_parallel_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

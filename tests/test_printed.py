@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import spacsim.printed
 from spacsim.errors import NonPositiveNorm, NumericalOverflow
 from spacsim.fock import final_pointer_state, moments, oracle_kappa_sq, spacs
 from spacsim.params import FIGURE_PRESET, ExperimentParams, weak_value
@@ -192,3 +193,15 @@ class TestPrintedWigner:
         assert values.shape == zs.shape
         for z, v in zip(zs.ravel(), values.ravel()):
             assert v == printed_wigner(p, z)
+
+    def test_clipping_far_points_keeps_every_near_point_bit_and_the_callers_array(self, monkeypatch):
+        parts = [-1e153, -2.5, -0.0, 0.0, 0.75, 1e153]
+        zs = np.array([complex(x, p) for x in parts for p in parts])
+        given = zs.copy()
+        clipped = printed_wigner_values(FIGURE_PRESET, zs)
+        monkeypatch.setattr(spacsim.printed, "_FAR_Z", math.inf)  # no clipping
+        assert clipped.tobytes() == printed_wigner_values(FIGURE_PRESET, zs).tobytes()
+        monkeypatch.undo()
+        far = printed_wigner_values(FIGURE_PRESET, np.array([1e155 + 0.5j, -0.5 - 1e300j, 1e300 + 1e300j]))
+        assert far.tolist() == [0.0, 0.0, 0.0]
+        assert zs.tobytes() == given.tobytes()

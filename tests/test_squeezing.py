@@ -30,6 +30,7 @@ from spacsim.sweeps import (
     fidelity_columns,
     fidelity_table,
     grid_values,
+    pointer_blocks,
     report_columns,
     sweep_columns,
     sweep_r,
@@ -271,6 +272,36 @@ class TestColumnSweeps:
 
 # The oracle sweep layouts the output comparison script runs: fig1a and fig2a,
 # fig1b and fig2b, their variants, and one fig3 sweep (one angle per coupling).
+class TestPointerBlocks:
+    def test_runs_of_one_truncation_grouped_by_pair_in_blocks(self, monkeypatch):
+        calls = []
+
+        def recording(alpha, s, w, dim):
+            calls.append((alpha, s, w, dim))
+            empty = np.zeros((1, alpha.size), dtype=np.complex128)
+            return PointerColumns(initial=empty, final=empty, norm_sq=np.ones(alpha.size), errors=("",) * alpha.size)
+
+        monkeypatch.setattr(spacsim.sweeps, "pointer_columns", recording)
+        monkeypatch.setattr(spacsim.sweeps, "BLOCK_ELEMENTS", 128)  # two points per block at 64, one at 128
+        # pairs A, B, C; runs [0, 4), [4, 7) and [7, 9) of one truncation, where A and B come back
+        pair = np.array(["A", "B", "A", "C", "B", "B", "A", "A", "B"])
+        alpha = np.where(pair == "B", 1.0 + 0.5j, np.where(pair == "C", 2.0 + 0j, 0.5 + 0j))
+        s = np.where(pair == "A", 0.5, 2.0)
+        w = np.arange(pair.size) + 0.25j  # each point its own weak value, as at different angles
+        trunc = np.array([64, 64, 64, 64, 128, 128, 128, 64, 64])
+        blocks = [block.tolist() for block, _ in pointer_blocks(alpha, s, w, trunc)]
+        assert blocks == [[0, 2], [1, 3], [4], [5], [6], [7, 8]]
+        for block, (a, b, c, dim) in zip(blocks, calls, strict=True):
+            assert {int(trunc[j]) for j in block} == {dim}
+            for got, column in zip((a, b, c), (alpha, s, w)):
+                assert got.tobytes() == column[block].tobytes()
+
+    @pytest.mark.parametrize("trunc", [128, np.empty(0, dtype=int)], ids=["one_truncation", "per_point"])
+    def test_an_empty_point_set_yields_no_block(self, trunc):
+        empty = np.empty(0, dtype=np.complex128)
+        assert list(pointer_blocks(empty, np.empty(0), empty, trunc)) == []
+
+
 FIGURE_LAYOUTS = [
     ("s", (0.0, 4.0, 0.02), DEFAULT_PHIS, {}),
     ("s", (0.0, 0.04, 0.02), (0.3, 0.6), {}),

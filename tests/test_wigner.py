@@ -291,3 +291,12 @@ class TestReferenceRouteInput:
         with pytest.raises(ValueError, match="16777216"):
             required_dim(state, z)
         assert required_dim(state, 54.0) == 4032  # 4032^2 is within wigner.MAX_GRID_ELEMENTS
+
+    @pytest.mark.parametrize("z, levels", [(300.0, "95770"), (1e170, "1e308")])
+    def test_padded_dimension_error_names_the_displacement_and_the_dimension(self, z, levels):
+        state = final_pointer_state(FIGURE_PRESET)
+        with pytest.raises(ValueError) as info:
+            wigner_point(state, z)
+        message = str(info.value)
+        assert f"|beta| = {z:.6g} " in message and f" at least {levels} Fock levels" in message
+        assert "grid" not in message and "inf" not in message

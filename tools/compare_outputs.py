@@ -39,10 +39,14 @@ truncation 4096, whose 30 states take four blocks of eight, and one
 whose states at r = 12 fail the truncation tail check.  Three range
 errors follow, each of which must name its flags: an empty x range of
 ``wigner``, a zero ``--r-step`` and an audit half width that is not a
-multiple of its step.  Two Wigner grids end the written runs: a
-(10, 0) panel at truncation 512, where the Hermite recurrence's frame
-passes its rescale ceiling, and a panel at x = 1e170, where u^2
-overflows a double and every value is 0.  Last come four oracle
+multiple of its step.  Two Wigner grids follow: a (10, 0) panel at
+truncation 512, where the Hermite recurrence's frame passes its
+rescale ceiling, and a panel at x = 1e170, where u^2 overflows a
+double and every value is 0.  An audit whose grid repeats points
+(r = 1, 0.5, 1 by s = 0.5, 2, 0.5) builds each point beside its twins
+yet must write its rows in grid order, and a printed Wigner panel at
+x = 1e155, where |2z - alpha|^2 would overflow a double and every
+value is 0, ends the written runs.  Last come four oracle
 points: the preset, s = 0 (fidelity exactly 1), an amplitude of 40,
 which fails the truncation tail check, and r = s = 1e300, whose
 squared amplitude overflows a double.
@@ -116,6 +120,9 @@ def cases() -> list[tuple[list[str], bool]]:
         ["wigner", "--r", "10", "--s", "0", "--trunc", "512", "--x-min", "0", "--x-max", "14",
          "--p-min", "0", "--p-max", "14", "--grid-step", "0.5"],
         ["wigner", "--x-min", "1e170", "--x-max", "1e170", "--p-min", "0", "--p-max", "1", "--grid-step", "0.5"],
+        ["audit", "--r-values", "1,0.5,1", "--s-values", "0.5,2,0.5"],
+        ["wigner", "--backend", "printed", "--x-min=1e155", "--x-max=1e155", "--p-min", "0", "--p-max", "1",
+         "--grid-step", "0.5"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed"])
