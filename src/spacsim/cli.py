@@ -131,6 +131,8 @@ def _run_sweep(args: argparse.Namespace, params: ExperimentParams) -> Output:
 
 
 def _run_fig3(args: argparse.Namespace, params: ExperimentParams) -> Output:
+    for s in args.s_values:
+        check_fields(s=float(s))
     r_grid = _range(args, "r")
     sweeps = fidelity_columns(params, args.s_values, r_grid, args.backend)
     _fail_on_row_errors(*sweeps)

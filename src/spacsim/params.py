@@ -151,6 +151,11 @@ def point_columns(*points: ExperimentParams) -> tuple[np.ndarray, np.ndarray, np
 def postselection_probability(phi: float) -> float:
     """Success probability cos(phi/2)**2 of the postselection, in (0, 1].
 
+    This is the weak-coupling (s -> 0) limit.  At finite s the success
+    probability depends on the coupling: it is cos(phi/2)**2 N / 4, N
+    being the squared norm of the unnormalised pointer state
+    (``PointerColumns.norm_sq``), and no function returns it yet.
+
     Raises what :func:`check_fields` raises for ``phi``.
     """
     check_fields(phi=phi)

@@ -47,6 +47,7 @@ to :data:`_FAR`, where every term is 0, so far points give 0.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -239,23 +240,23 @@ def wigner_grid_values(
     y_max = math.sqrt(levels + 0.5) + SUPPORT_MARGIN
     # the integrand's angular frequencies in y stay below 4 * y_max (two
     # factors of psi) plus 4 |p| (the kernel); sampling below the Nyquist
-    # step makes the lattice sum equal the integral
-    freq = 4.0 * y_max + 4.0 * float(np.max(np.abs(ps)))
+    # step makes the lattice sum equal the integral.  freq is capped at the
+    # largest double, so dy_max, and a lone x's spacing with it, stays
+    # positive, and the size check still reads inf where 4 |p| overflows
+    freq = min(4.0 * y_max + 4.0 * float(np.max(np.abs(ps))), sys.float_info.max)
     dy_max = 2.0 * math.pi / freq
+    samples = freq / (2.0 * math.pi)  # 1 / dy_max
+    # a lone x is planned as a grid of spacing 2 * dy_max, one lattice step per half spacing
+    h = (xs[-1] - xs[0]) / (xs.size - 1) if xs.size > 1 else 2.0 * dy_max
+    if not h > 0 or np.max(np.abs(xs - (xs[0] + h * np.arange(xs.size)))) > 1e-6 * h:
+        raise ValueError("xs must be an increasing uniform grid")
     # the lattice step is at most dy_max and at most h / 2, which bounds the
-    # lattice and the kernel from below; checking those bounds first keeps
-    # every integer count below finite
-    samples = freq / (2.0 * math.pi)  # 1 / dy_max, possibly inf
-    check_grid_elements(max(float(xs[-1] - xs[0]), 2.0 * y_max) * samples, 2.0 * y_max * samples * ps.size)
-    if xs.size > 1:
-        h = (xs[-1] - xs[0]) / (xs.size - 1)
-        if not h > 0 or np.max(np.abs(xs - (xs[0] + h * np.arange(xs.size)))) > 1e-6 * h:
-            raise ValueError("xs must be an increasing uniform grid")
-        check_grid_elements(4.0 * y_max / float(h))  # a Python float overflows to inf silently
-        sub = math.ceil(h / (2.0 * dy_max))  # lattice steps per half x spacing
-        step = h / (2 * sub)
-    else:
-        sub, step = 1, dy_max
+    # lattice, the kernel and the 4 * y_max / h lattice steps over the y
+    # range from below; checking those bounds first keeps every integer
+    # count below finite (a Python float overflows to inf silently)
+    check_grid_elements(max(float(xs[-1] - xs[0]), 2.0 * y_max) * samples, 2.0 * y_max * samples * ps.size, 4.0 * y_max / float(h))
+    sub = math.ceil(h / (2.0 * dy_max))  # lattice steps per half x spacing
+    step = h / (2 * sub)
     # y_k = k * stride * step, so x_i +- y_k is lattice point
     # 2*sub*i + stride*(half_k +- k)
     stride = max(1, int(dy_max // step))

@@ -30,6 +30,15 @@ class TestFitScale:
         c = fit_scale(printed, oracle)
         assert np.sum(np.abs(printed - c * oracle) ** 2) <= np.sum(np.abs(printed - oracle) ** 2)
 
+    def test_all_zero_oracle_keeps_scale_one(self):
+        assert fit_scale(np.array([0.0, 1.5j]), np.zeros(2)) == 1.0
+
+    def test_cli_zero_oracle_prints_scale_one_and_zero_residuals(self, tmp_path, capsys):
+        # at r = 0 and s = 0 the state is one photon, whose field amplitude is 0
+        argv = ["audit", "--r-values", "0", "--s-values", "0", "--quantities", "m_a", "--out", str(tmp_path / "a.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "quantity=m_a scale=1.0 max_scaled_residual=0.0 max_raw_residual=0.0 points=1\n"
+
 
 class TestCompare:
     def test_kappa_scale_is_one_at_zero_coupling(self):

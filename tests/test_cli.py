@@ -410,8 +410,10 @@ class TestColumnarSweeps:
             (["fig1a", "--s-min", "-1"], "s: coupling ratio must be >= 0, got -1.0"),
             (["fig1b", "--phis", "1,nan", "--r-min", "-1"], "phi: polar angle must be >= 0, got nan"),
             (["fig3", "--s-values", "0.5,-1"], "s: coupling ratio must be >= 0, got -1.0"),
+            (["fig3", "--s-values", "nan", "--r-step", "0"], "s: coupling ratio must be >= 0, got nan"),
+            (["fig3", "--s-values", "0.5,-1", "--r-min", "2", "--r-max", "1"], "s: coupling ratio must be >= 0, got -1.0"),
         ],
-        ids=["negative-swept-value", "bad-angle-before-range", "bad-coupling"],
+        ids=["negative-swept-value", "bad-angle-before-range", "bad-coupling", "bad-coupling-before-step", "bad-coupling-before-range"],
     )
     def test_invalid_input_names_the_first_invalid_field(self, argv, message, tmp_path, capsys):
         out = tmp_path / "never.csv"

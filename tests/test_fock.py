@@ -275,3 +275,28 @@ class TestPointerColumns:
         cols = pointer_columns(p.alpha, p.s, weak_value(p.delta, p.phi), p.trunc)
         assert np.array_equal(final_pointer_state(p).amps, cols.final[:, 0])
         assert pointer_norm_sq(p) == float(cols.norm_sq[0])
+
+
+class TestDimensionChecks:
+    """Each state builder rejects a dimension it cannot hold with ValueError, naming it."""
+
+    @pytest.mark.parametrize("n", [-1, 8])
+    def test_basis_level_outside_the_dimension(self, n):
+        with pytest.raises(ValueError, match=f"level {n} outside dimension 8"):
+            basis_state(n, 8)
+
+    def test_coherent_needs_two_levels(self):
+        with pytest.raises(ValueError, match="coherent state needs dim >= 2, got 1"):
+            coherent(0.5, 1)
+
+    def test_spacs_needs_three_levels(self):
+        with pytest.raises(ValueError, match="photon-added state needs dim >= 3, got 2"):
+            spacs(0.5, 2)
+
+    def test_pad_cannot_shrink(self):
+        with pytest.raises(ValueError, match="cannot pad dim 16 down to 8"):
+            fock.pad(spacs(0.5, 16), 8)
+
+    def test_pointer_columns_need_three_levels(self):
+        with pytest.raises(ValueError, match="photon-added state needs dim >= 3, got 2"):
+            pointer_columns([0.5], [1.0], 0.3, 2)

@@ -380,6 +380,14 @@ class TestReportColumns:
         with pytest.raises(ValueError, match="unknown backend 'exact'"):
             report_columns(np.ones(1, dtype=complex), np.ones(1), np.ones(1, dtype=complex), 128, "exact", str)
 
+    def test_point_report_rejects_an_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            point_report(FIGURE_PRESET, "bogus")
+
+    def test_sweep_columns_sweeps_only_r_or_s(self):
+        with pytest.raises(ValueError, match="cannot sweep 'theta'; sweep 'r' or 's'"):
+            sweep_columns(FIGURE_PRESET, "theta", [0.1, 0.2], DEFAULT_PHIS)
+
     @pytest.mark.parametrize("trunc", [128, 256, 448])
     def test_oracle_fidelity_is_at_most_one_and_exactly_one_at_zero_coupling(self, trunc):
         base = FIGURE_PRESET.with_(trunc=trunc)

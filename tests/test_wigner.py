@@ -132,6 +132,38 @@ class TestPositionRepresentationGrid:
         with pytest.raises(ValueError):
             wigner_grid_values(spacs(1.0, 64), np.array([0.0, 0.1, 0.3]), np.array([0.0]))
 
+    @pytest.mark.parametrize("axis", ["x", "p"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coordinates(self, axis, bad):
+        xs, ps = np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 3)
+        (xs if axis == "x" else ps)[1] = bad
+        with pytest.raises(ValueError, match="grid coordinates must be finite"):
+            wigner_grid_values(spacs(1.0, 64), xs, ps)
+
+    @pytest.mark.parametrize("nx, np_", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_axis_gives_an_empty_grid_of_zeros(self, nx, np_):
+        grid = wigner_grid_values(spacs(1.0, 64), np.linspace(-1.0, 1.0, nx), np.linspace(-1.0, 1.0, np_))
+        assert grid.shape == (nx, np_) and not grid.any()
+
+    def test_lone_x_is_planned_as_a_grid_of_spacing_two_dy_max(self):
+        # the lattice plan of a lone x is that of a grid of spacing 2 * dy_max
+        # (one lattice step dy_max per half spacing), so its row has the bits
+        # of the first row of such a grid
+        state = final_pointer_state(FIGURE_PRESET.with_(r=1.0, s=2.0))
+        ps = np.linspace(-4.0, 4.0, 201)
+        y_max = math.sqrt(state.support(wigner.SUPPORT_CUTOFF) + 0.5) + wigner.SUPPORT_MARGIN
+        dy_max = 2.0 * math.pi / (4.0 * y_max + 4.0 * 4.0)
+        lone = wigner_grid_values(state, np.array([0.0]), ps)
+        pair = wigner_grid_values(state, np.array([0.0, 2.0 * dy_max]), ps)
+        assert lone.tobytes() == pair[:1].tobytes()
+
+    @pytest.mark.parametrize("xs", [[0.0], [0.0, 0.5]], ids=["lone", "pair"])
+    def test_overflowing_p_bandwidth_fails_the_size_check(self, xs):
+        # 4 |p| overflows a double: the lattice would need infinitely many
+        # samples, for a lone x as for a grid, and nothing is allocated
+        with pytest.raises(ValueError, match="at least inf elements"):
+            wigner_grid_values(spacs(1.0, 64), np.array(xs), np.array([1e308]))
+
 
 def test_far_point_has_the_same_bits_alone_and_among_near_points():
     # at x = 22 the recurrence frame of these 640 levels passes _RESCALE, near the origin it cannot
@@ -258,6 +290,12 @@ class TestReferenceRouteInput:
     def test_wigner_values_rejects_non_finite_points(self):
         with pytest.raises(ValueError, match="finite"):
             wigner_values(spacs(1.0, 64), np.array([0.0, 1.0 + 1j, complex(1.0, math.nan)]))
+
+    def test_displaced_state_that_leaks_out_of_the_padding_is_a_truncation_failure(self, monkeypatch):
+        # without padding, spacs(1, 32) displaced by 6 puts its mass near level 49
+        monkeypatch.setattr(wigner, "required_dim", lambda state, beta_max: state.dim)
+        with pytest.raises(TruncationTooSmall, match=r"displaced state leaks .* phase-space point too far out"):
+            wigner_point(spacs(1.0, 32), 6.0)
 
     @pytest.mark.parametrize(
         "half_width, step",

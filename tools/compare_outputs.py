@@ -46,7 +46,15 @@ double and every value is 0.  An audit whose grid repeats points
 (r = 1, 0.5, 1 by s = 0.5, 2, 0.5) builds each point beside its twins
 yet must write its rows in grid order, and a printed Wigner panel at
 x = 1e155, where |2z - alpha|^2 would overflow a double and every
-value is 0, ends the written runs.  Last come four oracle
+value is 0, follows.  Five cases end the written runs:
+
+* ``audit --wigner-half-width 0``: each state's one Wigner point takes the grid route's lone-x plan;
+* ``wigner --r 2 --s 2 --x-min 0 --x-max 0``: a lone-x panel of a state with a wide Fock support;
+* ``wigner`` at x = 0 and p = 1e308: a lone x whose 4|p| overflows a double must fail the size check;
+* ``audit --r-values 0 --s-values 0 --quantities m_a``: an all-zero oracle, whose fitted scale is 1.0;
+* ``fig3 --s-values nan --r-step 0``: a bad coupling and a bad range, so stderr shows which is checked first.
+
+Last come four oracle
 points: the preset, s = 0 (fidelity exactly 1), an amplitude of 40,
 which fails the truncation tail check, and r = s = 1e300, whose
 squared amplitude overflows a double.
@@ -123,6 +131,11 @@ def cases() -> list[tuple[list[str], bool]]:
         ["audit", "--r-values", "1,0.5,1", "--s-values", "0.5,2,0.5"],
         ["wigner", "--backend", "printed", "--x-min=1e155", "--x-max=1e155", "--p-min", "0", "--p-max", "1",
          "--grid-step", "0.5"],
+        ["audit", "--wigner-half-width", "0"],
+        ["wigner", "--r", "2", "--s", "2", "--x-min", "0", "--x-max", "0"],
+        ["wigner", "--x-min", "0", "--x-max", "0", "--p-min", "1e308", "--p-max", "1e308"],
+        ["audit", "--r-values", "0", "--s-values", "0", "--quantities", "m_a"],
+        ["fig3", "--s-values", "nan", "--r-step", "0"],
     ]
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
     printing.append(["point", "--backend", "printed"])
