@@ -12,10 +12,14 @@ deliverable.
 The oracle states are built in the sweeps' walk,
 :func:`~spacsim.sweeps.pointer_blocks` (runs of one truncation, each
 grouped by (alpha, s), in blocks), and each block's moments are taken
-in one call; a column's bits do not depend on its block.  Only the
-Wigner comparison runs state by state, because each state has its own
-position lattice; it is stored at its grid index, so every quantity's
-points stay in grid order.
+in one call; a column's bits do not depend on its block.  Every
+quantity's oracle array is allocated before the walk, and each block
+scatters its moments and kappa^2 into them at the block's grid
+indices.  Only the Wigner comparison runs state by state, because each
+state has its own position lattice.  Its oracle and printed values are
+two (state, point) arrays, one row per grid point, allocated once after
+the total size is checked; each state fills its own row, so every
+quantity's points stay in grid order.
 """
 
 from __future__ import annotations
@@ -188,32 +192,29 @@ def audit_columns(
     quantities = tuple(dict.fromkeys(quantities))
     if not (grid and quantities):
         return []
-    wanted_moments = [q for q in quantities if q in MOMENT_QUANTITIES]
 
-    printed: dict[str, np.ndarray | list] = {}
-    if wanted_moments:
+    printed: dict[str, np.ndarray] = {}
+    if set(quantities) & set(MOMENT_QUANTITIES):
         printed.update(vars(evaluate_points("printed_moments", printed_moment_columns, grid.__getitem__, *columns)))
     elif "kappa_sq" in quantities:
         printed["kappa_sq"] = evaluate_points("printed_kappa_sq", printed_kappa_sq_columns, grid.__getitem__, *columns)
 
-    oracle: dict[str, np.ndarray | list] = {q: np.empty(len(grid), dtype=np.complex128) for q in quantities if q != "wigner"}
+    oracle = {q: np.empty(len(grid), dtype=np.complex128) for q in quantities}
     if "wigner" in quantities:
         if not (math.isfinite(wigner_half_width) and wigner_half_width >= 0):
             raise RangeError("wigner_half_width", f"half width must be finite and >= 0, got {wigner_half_width}")
         try:
             axis = grid_values(-wigner_half_width, wigner_half_width, wigner_step)
+            cells = axis.size**2
+            check_grid_elements(len(grid) * cells)  # every state's points, in each array below
         except ValueError as exc:
             raise RangeError("wigner_half_width/wigner_step", str(exc)) from exc
-        check_grid_elements(axis.size**2)
         zs = axis[:, None] + 1j * axis[None, :]
-        oracle["wigner"], printed["wigner"] = [None] * len(grid), [None] * len(grid)
+        oracle["wigner"], printed["wigner"] = np.empty((2, len(grid), cells), dtype=np.complex128)
     for block, cols in pointer_blocks(*columns, np.array([params.trunc for params in grid])):
-        if wanted_moments:
-            om = column_moments(cols.final)
-            for q in wanted_moments:
-                oracle[q][block] = getattr(om, q)
-        if "kappa_sq" in quantities:
-            oracle["kappa_sq"][block] = 2.0 / cols.norm_sq
+        found = vars(column_moments(cols.final)) | {"kappa_sq": 2.0 / cols.norm_sq}
+        for q in found.keys() & oracle.keys():
+            oracle[q][block] = found[q]
         for j, (point, error) in enumerate(zip(block.tolist(), cols.errors)):
             if error:
                 raise TruncationTooSmall(error)
@@ -226,11 +227,9 @@ def audit_columns(
     out = []
     for q in quantities:
         if q == "wigner":
-            n = axis.size
-            owner = np.repeat(np.arange(len(grid)), n * n)  # grid index of each point
-            x, p = np.tile(np.repeat(axis, n), len(grid)), np.tile(axis, n * len(grid))
-            values = np.concatenate(oracle[q]), np.concatenate(printed[q])
-            out.append(_fitted(q, {k: v[owner] for k, v in echo.items()}, x, p, *values))
+            x, p = np.tile(np.repeat(axis, axis.size), len(grid)), np.tile(axis, axis.size * len(grid))
+            echoed = {name: np.repeat(values, cells) for name, values in echo.items()}
+            out.append(_fitted(q, echoed, x, p, oracle[q].ravel(), printed[q].ravel()))
         else:
             out.append(_fitted(q, echo, nan, nan, oracle[q], printed[q]))
     return out

@@ -14,10 +14,13 @@ written in slices of :data:`SLICE_ROWS`, so memory stays bounded for
 any table.  Within a slice each float column's distinct bit patterns
 are formatted once (runs of a repeated value, such as a grid's x axis
 or an echoed parameter, and repeated axes, such as its p axis), with
-one kernel call for all float columns.  The slice is laid out as one
-NUL-padded byte matrix, texts and separators together, and its non-NUL
-bytes are the file bytes, so no Python string is made per cell.  Label
-columns (lists of strings) are written as they are.  :func:`write_csv`
+one kernel call for all float columns.  Label columns (lists of
+strings) are written as they are, each distinct label encoded once.
+Every column, float or label, then takes one path: its distinct texts
+are gathered into the slice's rows by each row's index among them.
+The slice is laid out as one NUL-padded byte matrix, texts and
+separators together, and its non-NUL bytes are the file bytes, so no
+Python string is made per cell.  :func:`write_csv`
 takes rows and is a thin wrapper around :func:`write_columns`.
 :func:`fmt` is ``repr`` of one value (for manifests and command lines),
 and :func:`fmt_column` and :func:`fmt_tiled` return the kernel's text
@@ -48,21 +51,15 @@ SLICE_ROWS = 1 << 14
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct bit patterns of a float column and each value's index among them.
 
     Runs of bit-identical consecutive values are collapsed first, then
     the run heads are made unique on their bits, so -0.0 and 0.0 and
-    differently signed NaNs stay apart.  Where every value is distinct
-    the patterns are the column itself and the index is None.
+    differently signed NaNs stay apart.
     """
     bits = values.view(np.int64)
     heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    ordered = np.sort(bits[heads])
-    if np.all(ordered[1:] != ordered[:-1]):  # no value outside its own run repeats
-        if heads.size == bits.size:
-            return values, None
-        return values[heads], np.repeat(np.arange(heads.size), np.diff(heads, append=bits.size))
     patterns, index = np.unique(bits[heads], return_inverse=True)
     return patterns.view(np.float64), np.repeat(index, np.diff(heads, append=bits.size))
 
@@ -96,13 +93,13 @@ def _label_texts(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return encoded.view(np.uint8).reshape(len(names), -1), index
 
 
-def _slice_bytes(parts: list[tuple[np.ndarray, np.ndarray | None]], rows: int) -> np.ndarray:
-    """The CSV lines of ``rows`` rows: ``parts`` holds each column's (NUL-padded texts, row index or None)."""
+def _slice_bytes(parts: list[tuple[np.ndarray, np.ndarray]], rows: int) -> np.ndarray:
+    """The CSV lines of ``rows`` rows: ``parts`` holds each column's (NUL-padded texts, row index)."""
     widths = [texts.shape[1] for texts, _ in parts]
     matrix = np.empty((rows, sum(widths) + len(parts)), dtype=np.uint8)
     at = 0
     for (texts, index), width in zip(parts, widths):
-        matrix[:, at : at + width] = texts if index is None else texts.take(index, axis=0)
+        matrix[:, at : at + width] = texts.take(index, axis=0)
         matrix[:, at + width] = _COMMA
         at += width + 1
     matrix[:, -1] = _NEWLINE
@@ -112,7 +109,9 @@ def _slice_bytes(parts: list[tuple[np.ndarray, np.ndarray | None]], rows: int) -
 def _trimmed(texts: np.ndarray) -> np.ndarray:
     """``texts`` without the segment columns that are NUL in every row.
 
-    Worth its pass only for texts that are gathered into many rows.
+    Every float column's distinct texts pass through here before they
+    are gathered into the slice's rows, so a segment column that is
+    NUL in every text is not copied into each row.
     """
     used = (texts != 0).any(axis=0)
     return texts if used.all() else texts[:, used]
@@ -138,8 +137,7 @@ def _rows(columns: list) -> Iterator[np.ndarray]:
                 parts.append((c[0], c[1][start:stop]))
             else:
                 patterns, index = next(next_float)
-                own = texts[at : at + patterns.size]
-                parts.append((own if index is None else _trimmed(own), index))
+                parts.append((_trimmed(texts[at : at + patterns.size]), index))
                 at += patterns.size
         yield _slice_bytes(parts, stop - start)
 

@@ -72,7 +72,9 @@ def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
 
     The count is derived from the step; hi must sit on the grid within
     a small relative tolerance.  Raises ValueError, before allocating,
-    for a grid of more than :data:`MAX_GRID_POINTS` points.
+    for a grid of more than :data:`MAX_GRID_POINTS` points, and for a
+    step so far below the ulp of the range that neighbouring points
+    round to the same double.
     """
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"range [{lo}, {hi}] with step {step} is not finite")
@@ -85,7 +87,10 @@ def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
     count = int(round((hi - lo) / step))
     if abs(lo + count * step - hi) > step * 1e-6:
         raise ValueError(f"range [{lo}, {hi}] is not a multiple of step {step}")
-    return np.linspace(lo, hi, count + 1)
+    values = np.linspace(lo, hi, count + 1)
+    if not np.all(values[1:] > values[:-1]):
+        raise ValueError(f"range [{lo}, {hi}] with step {step} rounds neighbouring points to the same double")
+    return values
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Comparison harness: scale fitting and the known printed anomalies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,15 @@ class TestColumns:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("subset", [("wigner",), ("kappa_sq",), ("kappa_sq", "wigner"), ("m_a", "wigner")], ids="-".join)
+    def test_a_quantity_is_bit_identical_whichever_others_are_requested(self, subset):
+        full = {c.quantity: c for c in audit_columns()}
+        for a in audit_columns(quantities=subset):
+            b = full[a.quantity]
+            assert a.scale == b.scale
+            for name in ("x", "p", "oracle", "printed", "raw_residual", "scaled_residual"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.quantity, name)
+
     def test_repeated_quantity_counts_once(self):
         grid = default_audit_grid(r_values=(1.0,), s_values=(0.0, 0.5))
         rows, summaries = compare(grid, quantities=("m_a", "m_a"))
@@ -239,6 +249,22 @@ class TestWignerHalfWidth:
         with pytest.raises(RangeError) as err:
             audit_columns(default_audit_grid(r_values=(1.0,), s_values=(0.5,)), ("wigner",), 1.0, step)
         assert err.value.field == "wigner_half_width/wigner_step"
+
+    def test_cli_rejects_more_wigner_rows_than_the_grid_cap_before_allocating(self, tmp_path, capsys):
+        # 30 states of 1001^2 points each would be two 30 M-entry complex arrays and a CSV of about 3 GB
+        out = tmp_path / "audit.csv"
+        argv = ["audit", "--wigner-half-width", "3", "--wigner-step", "0.006", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert capsys.readouterr().err.startswith(
+            "spacsim: invalid arguments: wigner_half_width/wigner_step: the Wigner grid needs an array of at least 3.01e+07"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_gives_one_point_per_state(self):
         grid = default_audit_grid(r_values=(1.0,), s_values=(0.0, 0.5))

@@ -665,6 +665,11 @@ class TestRangeErrors:
                 ["audit", "--wigner-half-width", "1", "--wigner-step", "0.3"],
                 "wigner_half_width/wigner_step: range [-1.0, 1.0] is not a multiple of step 0.3",
             ),
+            (
+                ["wigner", "--x-min", "1e16", "--x-max", "10000000000000004", "--grid-step", "1", "--p-min", "0", "--p-max", "0"],
+                "x_min/x_max/grid_step: range [1e+16, 1.0000000000000004e+16] with step 1.0 "
+                "rounds neighbouring points to the same double",
+            ),
         ],
     )
     def test_names_the_flags(self, argv, message, tmp_path, capsys):

@@ -97,6 +97,19 @@ class TestGridValues:
         with pytest.raises(ValueError):
             grid_values(0.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize(
+        "lo, hi, step",
+        [(1e16, 1e16 + 4, 1.0), (-1e16 - 4, -1e16, 1.0), (1.0, 1.0 + 2**-50, 2**-53)],
+        ids=["above-1e16", "below-minus-1e16", "above-one"],
+    )
+    def test_rejects_a_step_below_the_precision_of_its_values(self, lo, hi, step):
+        # linspace would round neighbouring points to the same double and write each twice
+        with pytest.raises(ValueError, match="rounds neighbouring points to the same double"):
+            grid_values(lo, hi, step)
+
+    def test_a_step_of_one_ulp_is_kept(self):
+        assert np.all(np.diff(grid_values(1e16, 1e16 + 8, 2.0)) == 2.0)
+
 
 class TestSweeps:
     def test_row_ordering_angle_outer(self):

@@ -12,52 +12,6 @@ invocation and exits 1 if any invocation differs.  Where a CSV or
 stdout differs, the line also gives how many numeric fields differ and
 the largest |new - old| / max(1, |old|) among them.  Standard library
 only.
-
-The invocations are the benchmark's (``bench/run.py`` at seed 0, so at
-the preset angles), then ``fig2b``, the printed far-field Wigner panel,
-an audit subset at other angles, ``rerun`` of the first manifest, a
-sweep and a Wigner grid with ``--workers`` above 1, printed-backend
-sweeps of every kind and an oracle sweep at other angles, the help and
-version texts, a printed point, three printed-backend overflows, an
-overflow part way along a printed sweep, a negative swept value and a
-truncation too small for some rows.  Then come the rarer layouts of
-the CSV number formatter: a 267 x 267 Wigner grid whose axis values
-have long texts, a large-truncation sweep with values above 100, a
-fine audit grid, and a printed coupling sweep whose fidelity column is
-all ``nan``.  Next come a printed sweep and a printed point at
-s = 1e62, where a complex product in the printed moments overflows a
-double, a Wigner grid with a single x value, and an ``--out`` that is
-an existing directory.  Five oracle sweeps probe the edges of the block partition (max(1, 32768 // trunc) points per
-block): 73-point blocks with a last block of one row, one-point
-blocks, three-point blocks that split a value's angles, a single
-coupling value at four angles, and a repeated angle.  A Wigner grid
-whose p range is not symmetric about 0 checks the grid route's fold
-onto the distinct |p| where most values of p have no mirror.  A
-printed sweep of 4,096 couplings overflows at its last row alone, so
-the error must still name that row.  Two audits follow: one at
-truncation 4096, whose 30 states take four blocks of eight, and one
-whose states at r = 12 fail the truncation tail check.  Three range
-errors follow, each of which must name its flags: an empty x range of
-``wigner``, a zero ``--r-step`` and an audit half width that is not a
-multiple of its step.  Two Wigner grids follow: a (10, 0) panel at
-truncation 512, where the Hermite recurrence's frame passes its
-rescale ceiling, and a panel at x = 1e170, where u^2 overflows a
-double and every value is 0.  An audit whose grid repeats points
-(r = 1, 0.5, 1 by s = 0.5, 2, 0.5) builds each point beside its twins
-yet must write its rows in grid order, and a printed Wigner panel at
-x = 1e155, where |2z - alpha|^2 would overflow a double and every
-value is 0, follows.  Five cases end the written runs:
-
-* ``audit --wigner-half-width 0``: each state's one Wigner point takes the grid route's lone-x plan;
-* ``wigner --r 2 --s 2 --x-min 0 --x-max 0``: a lone-x panel of a state with a wide Fock support;
-* ``wigner`` at x = 0 and p = 1e308: a lone x whose 4|p| overflows a double must fail the size check;
-* ``audit --r-values 0 --s-values 0 --quantities m_a``: an all-zero oracle, whose fitted scale is 1.0;
-* ``fig3 --s-values nan --r-step 0``: a bad coupling and a bad range, so stderr shows which is checked first.
-
-Last come four oracle
-points: the preset, s = 0 (fidelity exactly 1), an amplitude of 40,
-which fails the truncation tail check, and r = s = 1e300, whose
-squared amplitude overflows a double.
 """
 
 from __future__ import annotations
@@ -89,59 +43,103 @@ def _benchmark_argvs() -> list[list[str]]:
 
 def cases() -> list[tuple[list[str], bool]]:
     """(argv, writes --out) per invocation, in run order."""
+    # the benchmark's invocations: bench/run.py at seed 0, so at the preset angles
     writing = _benchmark_argvs() + [
         ["fig2b"],
+        # the printed far-field Wigner panel
         ["wigner", "--backend", "printed", "--s", "4", "--x-min", "100", "--x-max", "101",
          "--p-min", "0", "--p-max", "0", "--grid-step", "1"],
+        # an audit subset at other angles
         ["audit", "--quantities", "wigner,kappa_sq,m_a", "--theta", "0.3", "--delta", "5.1"],
+        # rerun of the first manifest
         ["rerun", "out0.csv.manifest"],
+        # a sweep and a Wigner grid with --workers above 1
         ["fig1a", "--workers", "4"],
         ["wigner", "--grid-step", "0.1", "--workers", "3"],
+        # printed-backend sweeps of every kind
         ["fig1a", "--backend", "printed"],
         ["fig3", "--backend", "printed"],
         ["fig2b", "--backend", "printed", "--theta", "2.5"],
+        # an oracle sweep at other angles
         ["fig1b", "--theta", "5.9", "--delta", "1.1"],
+        # two printed-backend overflows
         ["fig1b", "--backend", "printed", "--s", "1e200", "--r-max", "0"],
         ["wigner", "--backend", "printed", "--s", "1e200"],
+        # an overflow part way along a printed sweep
         ["fig1b", "--backend", "printed", "--r-max", "1e200", "--r-step", "1e198"],
+        # a negative swept value
         ["fig1a", "--s-min", "-1"],
+        # a truncation too small for some rows
         ["fig1b", "--trunc", "8"],
+        # a 267 x 267 Wigner grid whose axis values have long texts
         ["wigner", "--grid-step", "0.03", "--x-min", "-3.99", "--x-max", "3.99", "--p-min", "-3.99", "--p-max", "3.99"],
+        # a large-truncation sweep with values above 100
         ["fig1b", "--r-max", "30", "--trunc", "2048"],
+        # a fine audit grid
         ["audit", "--wigner-step", "0.1"],
+        # a printed coupling sweep whose fidelity column is all nan
         ["fig2a", "--backend", "printed", "--phis", "0.3,2.9"],
+        # at s = 1e62 a complex product in the printed moments overflows a double
         ["fig1a", "--backend", "printed", "--s-max", "1e62", "--s-step", "1e62"],
+        # a Wigner grid with a single x value
         ["wigner", "--x-min", "0.5", "--x-max", "0.5"],
+        # blocks of max(1, 32768 // trunc) points: 73-point blocks with a last block of one row
         ["fig1a", "--trunc", "448"],
+        # one-point blocks
         ["fig1b", "--trunc", "16385", "--r-max", "0.1"],
+        # three-point blocks that split a value's angles
         ["fig1a", "--trunc", "10923", "--s-max", "0.04", "--phis", "0.3,0.6"],
+        # a single coupling value at four angles
         ["fig1a", "--s-max", "0"],
+        # a repeated angle
         ["fig1a", "--phis", "1.0,1.0,2.0"],
+        # a p range not symmetric about 0: the grid route's fold onto the distinct |p| finds no mirror for most p
         ["wigner", "--r", "1", "--s", "2", "--p-min", "-1.0", "--p-max", "3.0", "--x-min", "-2.0", "--x-max", "2.0"],
-        # 4,096 rows; s = 4.00064e51 passes the first coupling that overflows (about 4.0006367e51)
+        # 4,096 rows; s = 4.00064e51 passes the first coupling that overflows (about 4.0006367e51), so the error names the last row
         ["fig1a", "--backend", "printed", "--phis", "1.0", "--s-max", "4.00064e51", "--s-step", "9.76957264957265e+47"],
+        # 30 states at truncation 4096 take four blocks of eight
         ["audit", "--trunc", "4096", "--wigner-step", "1.5"],
+        # the states at r = 12 fail the truncation tail check
         ["audit", "--r-values", "0,12"],
+        # three range errors, each of which must name its flags: an empty x range, a zero step, a misaligned half width
         ["wigner", "--x-min", "1", "--x-max", "0"],
         ["fig1b", "--r-step", "0"],
         ["audit", "--wigner-half-width", "1", "--wigner-step", "0.3"],
+        # a (10, 0) panel at truncation 512: the Hermite recurrence's frame passes its rescale ceiling
         ["wigner", "--r", "10", "--s", "0", "--trunc", "512", "--x-min", "0", "--x-max", "14",
          "--p-min", "0", "--p-max", "14", "--grid-step", "0.5"],
+        # at x = 1e170, u^2 overflows a double and every value is 0
         ["wigner", "--x-min", "1e170", "--x-max", "1e170", "--p-min", "0", "--p-max", "1", "--grid-step", "0.5"],
+        # a grid that repeats points builds each beside its twins yet writes its rows in grid order
         ["audit", "--r-values", "1,0.5,1", "--s-values", "0.5,2,0.5"],
+        # a printed panel at x = 1e155: |2z - alpha|^2 would overflow a double, and every value is 0
         ["wigner", "--backend", "printed", "--x-min=1e155", "--x-max=1e155", "--p-min", "0", "--p-max", "1",
          "--grid-step", "0.5"],
+        # each state's one Wigner point takes the grid route's lone-x plan
         ["audit", "--wigner-half-width", "0"],
+        # a lone-x panel of a state with a wide Fock support
         ["wigner", "--r", "2", "--s", "2", "--x-min", "0", "--x-max", "0"],
+        # a lone x whose 4|p| overflows a double must fail the size check
         ["wigner", "--x-min", "0", "--x-max", "0", "--p-min", "1e308", "--p-max", "1e308"],
+        # an all-zero oracle, whose fitted scale is 1.0
         ["audit", "--r-values", "0", "--s-values", "0", "--quantities", "m_a"],
+        # a bad coupling and a bad range, so stderr shows which is checked first
         ["fig3", "--s-values", "nan", "--r-step", "0"],
+        # the Wigner comparison alone, and beside kappa^2 without the printed moments
+        ["audit", "--quantities", "wigner"],
+        ["audit", "--quantities", "kappa_sq,wigner"],
+        # a step of one below the ulp of 1e16: linspace would write points twice, so the grid is rejected
+        ["wigner", "--x-min", "1e16", "--x-max", "10000000000000004", "--grid-step", "1", "--p-min", "0", "--p-max", "0"],
     ]
+    # the help and version texts
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
+    # a printed point, then printed points whose moments overflow at s = 1e200 and s = 1e62
     printing.append(["point", "--backend", "printed"])
     printing.append(["point", "--backend", "printed", "--s", "1e200"])
     printing.append(["point", "--backend", "printed", "--s", "1e62"])
+    # an --out that is an existing directory
     printing.append(["fig1a", "--out", EXISTING_DIR])
+    # oracle points: the preset, s = 0 (fidelity exactly 1), r = 40 (fails the tail check), r = s = 1e300 (|alpha|^2 overflows)
     printing += [["point"], ["point", "--s", "0"], ["point", "--r", "40"], ["point", "--r", "1e300", "--s", "1e300"]]
     return [(argv, True) for argv in writing] + [(argv, False) for argv in printing]
 
