@@ -140,6 +140,23 @@ class TestColumnWriter:
         write_csv(b, ["x", "p", "w"], grid.rows())
         assert a.read_bytes() == b.read_bytes()
 
+    def test_columns_of_different_lengths_are_refused_before_any_file(self, tmp_path):
+        path = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match="lengths: 5, 3"):
+            write_columns(path, ["a", "b"], [np.arange(5.0), np.arange(3.0)])
+        with pytest.raises(ValueError, match="lengths: 2, 3"):
+            write_columns(path, ["q", "v"], [["m_a", "m_b"], [0.1, 0.2, 0.3]])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_header_of_other_width_is_refused_before_any_file(self, tmp_path):
+        path = tmp_path / "c.csv"
+        x = np.arange(4.0)
+        with pytest.raises(ValueError, match="a header of 1 names for 2 columns"):
+            write_columns(path, ["a"], [x, x])
+        with pytest.raises(ValueError, match="a header of 2 names for 1 columns"):
+            write_csv(path, ["a", "b"], [[1.0], [2.0]])
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("ranges", [(0, 0, -0.3, 0.6), (-1, 1, 0.2, 0.2), (-0.5, 0.5, -0.5, 0.5)])
     def test_grid_columns_match_grid_rows_on_other_axes(self, ranges, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -240,6 +257,24 @@ class TestKernelAgainstRepr:
         write_columns(path, ["label", "a", "b", "c"], [labels, *columns])
         lines = ["label,a,b,c"] + [",".join([label, *map(repr, row)]) for label, row in zip(labels, zip(*(c.tolist() for c in columns)))]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("slice_rows", [1, 7, io.SLICE_ROWS])
+    def test_every_segment_in_one_call(self, slice_rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "SLICE_ROWS", slice_rows)
+        magnitudes = [1.234e-4, 0.0012, 0.05, 1.5, 12.25, 123.125, 1234.5, 12345678.9, 1200.0, 5e10, 1e15]
+        magnitudes += [1e-5, 2.5e-7, 1.5e20, 1e100, 2.5e-300, 0.0, math.inf, math.nan]
+        values = np.array(magnitudes + [-v for v in magnitudes])
+        np.random.default_rng(24).shuffle(values)
+        texts = [repr(v) for v in values.tolist()]
+        points = {t.index(".") for t in texts if "." in t and "e" not in t and not t.lstrip("-").startswith("0.")}
+        assert "-0.0001234" in texts and "-1000000000000000.0" in texts and len(points) >= 5
+        assert {"1e-05", "-1e+100", "2.5e-300", "0.0", "-0.0", "inf", "-inf", "nan"} <= set(texts)
+        assert fmt_column(values) == texts
+        labels = [f"q{i % 4}" for i in range(values.size)]
+        path = tmp_path / "s.csv"
+        write_columns(path, ["a", "b", "label"], [values, values[::-1], labels])
+        lines = "".join(f"{a},{b},{label}\n" for a, b, label in zip(texts, texts[::-1], labels))
+        assert path.read_bytes() == ("a,b,label\n" + lines).encode("utf-8")
 
 
 def test_peak_memory_is_bounded_by_the_row_slice(tmp_path):

@@ -73,6 +73,8 @@ def cases() -> list[tuple[list[str], bool]]:
         ["fig1b", "--trunc", "8"],
         # a 267 x 267 Wigner grid whose axis values have long texts
         ["wigner", "--grid-step", "0.03", "--x-min", "-3.99", "--x-max", "3.99", "--p-min", "-3.99", "--p-max", "3.99"],
+        # a 97 x 97 far panel: fixed and scientific texts, 770 of them with three-digit exponents
+        ["wigner", "--x-min", "-12", "--x-max", "12", "--p-min", "-12", "--p-max", "12", "--grid-step", "0.25"],
         # a large-truncation sweep with values above 100
         ["fig1b", "--r-max", "30", "--trunc", "2048"],
         # a fine audit grid
