@@ -1,17 +1,22 @@
 """Shortest round-trip decimal text of float64 arrays, byte for byte ``repr``.
 
 :func:`decimals` and :func:`segments` format a whole array at once,
-with no Python code per value.  The digits come from Ryu's ``d2d``
-(Adams, "Ryu: fast float-to-string conversion", PLDI 2018), ported to
-numpy ``uint64`` lanes:
+with no Python code per value.  The digits come from Dragonbox's
+``to_decimal``, round to nearest with ties to even (Jeon, "Dragonbox:
+A New Floating-Point Binary-to-Decimal Conversion Algorithm", 2020),
+ported to numpy ``uint64`` lanes.  It gives the same shortest,
+correctly rounded digits as Ryu (Adams, "Ryu: fast float-to-string
+conversion", PLDI 2018), which it replaced here, from one product per
+value where Ryu takes three:
 
-* the 125-bit multipliers 5^i and 2^k / 5^q are built once, on first
-  use, as four 32-bit limbs each;
-* the 64 x 128-bit products are summed from 32-bit partial products,
-  a few thousand lanes at a time;
-* every lane runs Ryu's general digit-removal loop.  Where both
-  trailing-zero flags are false it is exactly Ryu's common case, so all
-  lanes take one code path.
+* the 128-bit multipliers phi_k are built once, on first use, as four
+  32-bit limbs each;
+* every lane takes one 64 x 128-bit product, summed from 32-bit partial
+  products, divides its top 64 bits by 1000 and, where that leaves the
+  interval, by 100;
+* the rarer steps (the parity of a second product, trailing zeros, the
+  shorter interval of a power of two) run only on the lanes that need
+  them.
 
 The layout follows CPython's ``repr`` (``'r'`` format, shortest mode):
 exponent form when the decimal point position ``decpt`` is at most -4
@@ -40,149 +45,130 @@ import numpy as np
 _U = np.uint64
 _MASK32 = _U(0xFFFFFFFF)
 _MANTISSA_MASK = _U((1 << 52) - 1)
+_HIDDEN = _U(1 << 52)
 _SIGN = _U(1 << 63)
 _EXPONENT_ALL_ONES = _U(0x7FF << 52)
 _ONE = _U(0x3FF << 52)  # the bits of 1.0, a stand-in for the constant texts
-_BITCOUNT = 125  # bits of every multiplier, as in Ryu's d2s
-_INV_ROWS = 342  # 2^k / 5^q for q = 0 .. 341, then 5^i for i = 0 .. 325
+_KAPPA = 2  # z is divided by 10^(kappa + 1) = 1000, then by 10^kappa = 100
+_K_MIN, _K_MAX = -292, 326  # the powers of ten phi_k is needed for
 _POW10 = np.array([10**k for k in range(18)], dtype=np.uint64)
-_POW5 = np.array([5**k for k in range(23)], dtype=np.uint64)
-#: Lanes per step of the 64 x 128-bit products: their partial products then
-#: stay in cache, which made the whole kernel about 15 % faster than one
-#: step over 16k lanes (2-vCPU Xeon, numpy 2.4).
-_PRODUCT_LANES = 2048
 _CONSTANT_TEXTS = np.array([list(t.ljust(4, b"\0")) for t in (b"0.0", b"-0.0", b"inf", b"-inf", b"nan")], dtype=np.uint8)
 _MINUS, _DOT, _ZERO, _PLUS, _E = (np.uint8(ord(c)) for c in "-.0+e")
 
 
+def _floor_log2_pow10(k):
+    """floor(k log2 10), exact for |k| <= 1700, for an int or an integer array."""
+    return (k * 1741647) >> 19
+
+
 @cache
-def _multipliers() -> tuple[np.ndarray, ...]:
-    """Ryu's multipliers as four arrays of 32-bit limbs, low limb first.
+def _multipliers() -> np.ndarray:
+    """phi_k = ceil(10^k * 2^(127 - floor(k log2 10))) for k = -292 .. 326, as (4, 619) 32-bit limbs, low limb first."""
+    phi = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        shift = 127 - _floor_log2_pow10(k)
+        num, den = 10 ** max(k, 0) << max(shift, 0), 10 ** max(-k, 0) << max(-shift, 0)
+        phi.append(-(-num // den))
+    return np.array([[(v >> (32 * i)) & 0xFFFFFFFF for v in phi] for i in range(4)], dtype=np.uint64)
 
-    Entries 0 .. 341 are floor(2^(bits(5^q) - 1 + 125) / 5^q) + 1 and
-    entries 342 .. 667 are 5^i scaled to 125 bits, where bits(x) is the
-    bit length of x.
+
+def _product(a: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """a * phi for 63-bit ``a`` and 128-bit ``phi`` (its four 32-bit limbs, low first), as 32-bit columns.
+
+    Returns c1, c2, c3 and c4: the low 32 bits of c_i are bits 32i .. 32i + 31
+    of the product, and c4 is the product's bits 128 .. 191 whole.
     """
-    inverse = [(1 << ((5**q).bit_length() - 1 + _BITCOUNT)) // 5**q + 1 for q in range(_INV_ROWS)]
-    powers = []
-    for i in range(326):
-        shift = (5**i).bit_length() - _BITCOUNT
-        powers.append(5**i >> shift if shift >= 0 else 5**i << -shift)
-    return tuple(np.array([(v >> (32 * k)) & 0xFFFFFFFF for v in inverse + powers], dtype=np.uint64) for k in range(4))
+    a0, a1 = a & _MASK32, a >> _U(32)
+    p = a0 * phi
+    c1 = (p[1] & _MASK32) + (p[0] >> _U(32)) + a1 * phi[0]
+    c2 = (p[2] & _MASK32) + (p[1] >> _U(32)) + a1 * phi[1] + (c1 >> _U(32))
+    c3 = (p[3] & _MASK32) + (p[2] >> _U(32)) + a1 * phi[2] + (c2 >> _U(32))
+    return c1, c2, c3, (p[3] >> _U(32)) + a1 * phi[3] + (c3 >> _U(32))
 
 
-def _mul_shift_lanes(m: np.ndarray, mul: tuple[np.ndarray, ...], j: np.ndarray) -> np.ndarray:
-    """floor(m * mul / 2^j) for 55-bit ``m`` (any leading axes), 126-bit ``mul`` and 118 <= j <= 125.
-
-    The product is summed in 32-bit columns: a0 * mul in two halves per
-    limb, a1 * mul whole (a1 has at most 23 bits).  Column 0 never
-    carries, so it is left out.
-    """
-    a0, a1 = m & _MASK32, m >> _U(32)
-    b0, b1, b2, b3 = mul
-    p0 = [a0 * b for b in mul]
-    c1 = (p0[1] & _MASK32) + (p0[0] >> _U(32)) + a1 * b0
-    c2 = (p0[2] & _MASK32) + (p0[1] >> _U(32)) + a1 * b1 + (c1 >> _U(32))
-    c3 = (p0[3] & _MASK32) + (p0[2] >> _U(32)) + a1 * b2 + (c2 >> _U(32))
-    c4 = (p0[3] >> _U(32)) + a1 * b3 + (c3 >> _U(32))
-    t = (j - 96).astype(np.uint64)  # 22 .. 29
-    return ((c3 & _MASK32) >> t) | (c4 << (_U(32) - t))
+def _parity(two_f: np.ndarray, phi: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dragonbox's ``compute_mul_parity``: bit 128 - beta of two_f * phi, and whether bits 64 - beta .. 127 - beta are 0."""
+    c1, c2, c3, _ = _product(two_f, phi)
+    high = (c3 << _U(32)) | (c2 & _MASK32)
+    fraction = (high << beta) | ((c1 & _MASK32) >> (_U(32) - beta))
+    return ((high >> (_U(64) - beta)) & _U(1)) == 1, fraction == 0
 
 
-def _mul_shift(m: np.ndarray, mul: tuple[np.ndarray, ...], j: np.ndarray) -> np.ndarray:
-    """:func:`_mul_shift_lanes` over :data:`_PRODUCT_LANES` lanes at a time."""
-    out = np.empty(m.shape, dtype=np.uint64)
-    for start in range(0, m.shape[-1], _PRODUCT_LANES):
-        lanes = slice(start, start + _PRODUCT_LANES)
-        out[..., lanes] = _mul_shift_lanes(m[..., lanes], tuple(b[lanes] for b in mul), j[lanes])
-    return out
-
-
-def _remove_digits(vr, vp, vm, vm_tz, vr_tz, last, removed, vm_zeros_only: bool) -> None:
-    """One of Ryu's two digit-removal loops, on every lane at once, updating the arrays in place.
-
-    The first loop removes a digit while vp / 10 > vm / 10, the second
-    while vm's trailing-zero flag is set and vm ends in 0.  Lanes drop
-    out as they stop; ``vp`` is left as it was.
-    """
-    ten = _U(10)
-    out = (vr, vm, vm_tz, vr_tz, last, removed)
-    live = np.arange(vr.size)
-    state = [vr, vp, vm, vm_tz, vr_tz, last]
-    count = 0
-    while live.size:
-        vr, vp, vm, vm_tz, vr_tz, last = state
-        vm10 = vm // ten
-        more = (vm_tz & (vm == vm10 * ten)) if vm_zeros_only else (vp // ten > vm10)
-        if not more.all():
-            stop = np.flatnonzero(~more)
-            for target, source in zip(out, (vr, vm, vm_tz, vr_tz, last)):
-                target[live[stop]] = source[stop]
-            removed[live[stop]] += count
-            keep = np.flatnonzero(more)
-            live, vm10 = live[keep], vm10[keep]
-            state = [a[keep] for a in state]
-            vr, vp, vm, vm_tz, vr_tz, last = state
-        vr10 = vr // ten
-        state = [vr10, vp // ten, vm10, vm_tz & (vm == vm10 * ten), vr_tz & (last == 0), vr - vr10 * ten]
-        count += 1
+def _strip_zeros(digits: np.ndarray, exponent: np.ndarray) -> None:
+    """Remove the trailing decimal zeros of ``digits`` in place, adding their count to ``exponent``."""
+    for p in (16, 8, 4, 2, 1):
+        head = digits // _POW10[p]
+        zeros = head * _POW10[p] == digits
+        np.copyto(digits, head, where=zeros)
+        exponent += p * zeros
 
 
 def _decimal(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ryu's ``d2d`` of positive finite bits: digits and exponent, value = digits * 10^exponent."""
-    ieee_m = magnitude & _MANTISSA_MASK
-    ieee_e = (magnitude >> _U(52)).astype(np.int32)  # the exponent arithmetic below fits in 31 bits
-    e2 = np.maximum(ieee_e, 1) - (1023 + 52 + 2)
-    m2 = np.where(ieee_e == 0, ieee_m, ieee_m | _U(1 << 52))
-    accept = (m2 & _U(1)) == 0
-    mm_shift = ((ieee_m != 0) | (ieee_e <= 1)).astype(np.uint64)
-    mv = m2 << _U(2)
+    """Dragonbox's ``to_decimal`` of positive finite bits, to nearest, ties to even: value = digits * 10^exponent.
 
-    pos = e2 >= 0
-    ae = np.abs(e2)
-    q = np.where(pos, ((ae * 78913) >> 18) - (ae > 3), ((ae * 732923) >> 20) - (ae > 1))
-    i = ae - q  # the power of five for e2 < 0
-    e10 = np.where(pos, q, q + e2)
-    j = np.where(pos, q + _BITCOUNT - 1 + ((q * 1217359) >> 19) + 1 - e2, q - ((i * 1217359) >> 19) - 1 + _BITCOUNT)
-    row = np.where(pos, q, _INV_ROWS + i).astype(np.intp)
-    mul = tuple(limb[row] for limb in _multipliers())
-    numerators = np.empty((3, mv.size), dtype=np.uint64)  # of vr, vp and vm
-    numerators[0] = mv
-    np.add(mv, _U(2), out=numerators[1])
-    np.subtract(mv, mm_shift + _U(1), out=numerators[2])
-    vr, vp, vm = _mul_shift(numerators, mul, j)
+    Every lane takes both divisor steps on one 64 x 128-bit product; the
+    parity products, the trailing zeros and the shorter interval of a
+    power of two run on the lanes that need them.
+    """
+    fraction = magnitude & _MANTISSA_MASK
+    field = (magnitude >> _U(52)).astype(np.int32)  # the exponent arithmetic below fits in 31 bits
+    e = np.maximum(field, 1) - 1075
+    two_fc = np.where(field == 0, fraction, fraction | _HIDDEN) << _U(1)
+    odd = (two_fc & _U(2)) != 0  # an odd significand excludes both endpoints of its interval
+    minus_k = ((e * 315653) >> 20) - _KAPPA  # floor(e log10 2) - kappa
+    beta = (e + _floor_log2_pow10(-minus_k)).astype(np.uint64)  # 6 .. 9
+    phi = _multipliers().take(-minus_k - _K_MIN, axis=1)
+    _, c2, c3, z = _product((two_fc | _U(1)) << beta, phi)
+    delta = phi[3] >> (_U(31) - beta)  # the top 64 bits of phi >> (63 - beta)
+    digits = z // _U(1000)
+    r = z - digits * _U(1000)
 
-    # Trailing zeros of the exact quotients, which only small |e2| can have.
-    vm_tz = np.zeros(mv.size, dtype=bool)
-    low_bits = (_U(1) << np.minimum(q, 63).astype(np.uint64)) - _U(1)
-    vr_tz = ~pos & (q > 1) & ((mv & low_bits) == 0)  # Ryu asks q < 63; mv has 55 bits
-    lanes = np.flatnonzero(pos & (q <= 21))
+    # Big divisor: the interval holds the multiple 1000 * digits unless r > delta.  An odd significand
+    # excludes its right endpoint, so where that is z itself (r = 0, z an integer) the lane moves below it.
+    excluded = (r == 0) & odd & (((c2 | c3) & _MASK32) == 0)
+    digits -= excluded
+    r[excluded] = 1000
+    big = r < delta
+    lanes = np.flatnonzero(r == delta)  # the left endpoint decides, from the parity of a second product
     if lanes.size:
-        m, acc, p5 = mv[lanes], accept[lanes], _POW5[q[lanes]]
-        mod5 = m == (m // _U(5)) * _U(5)
-        vr_tz[lanes] = mod5 & (m == m // p5 * p5)
-        below = m - _U(1) - mm_shift[lanes]
-        vm_tz[lanes] = ~mod5 & acc & (below == below // p5 * p5)
-        above = m + _U(2)
-        vp[lanes] -= ~mod5 & ~acc & (above == above // p5 * p5)
-    lanes = np.flatnonzero(~pos & (q <= 1))
-    if lanes.size:
-        vr_tz[lanes] = True
-        vm_tz[lanes] = accept[lanes] & (mm_shift[lanes] == 1)
-        vp[lanes] -= ~accept[lanes]
+        x_parity, x_integer = _parity(two_fc[lanes] - _U(1), phi.take(lanes, axis=1), beta[lanes])
+        big[lanes] = x_parity | (x_integer & ~odd[lanes])
 
-    last = np.zeros_like(vr)
-    removed = np.zeros(vr.size, dtype=np.int64)
-    _remove_digits(vr, vp, vm, vm_tz, vr_tz, last, removed, vm_zeros_only=False)
-    lanes = np.flatnonzero(vm_tz)
+    # Small divisor, where big fails: y = 10 * digits + dist // 100 is the nearest, except where 100 divides
+    # dist; there the parity of a second product says whether y is one less, or a tie to break to even.
+    dist = r - (delta >> _U(1)) + _U(50)
+    step = dist // _U(100)
+    small = digits * _U(10) + step
+    lanes = np.flatnonzero(~big & (step * _U(100) == dist))
     if lanes.size:
-        parts = [a[lanes] for a in (vr, vp, vm, vm_tz, vr_tz, last, removed)]
-        _remove_digits(*parts, vm_zeros_only=True)
-        for target, part in zip((vr, vm, vm_tz, vr_tz, last, removed), parts[:1] + parts[2:]):
-            target[lanes] = part
-    half_even = vr_tz & (last == 5) & ((vr & _U(1)) == 0)  # exactly ...50..0: round to even
-    up = ((vr == vm) & ~(accept & vm_tz)) | ((last >= 5) & ~half_even)
-    return vr + up, e10 + removed
+        y_parity, y_integer = _parity(two_fc[lanes], phi.take(lanes, axis=1), beta[lanes])
+        small[lanes] -= (y_parity != ((dist[lanes] & _U(1)) == 1)) | (y_integer & ((small[lanes] & _U(1)) == 1))
+    digits = np.where(big, digits, small)
+    exponent = minus_k + _KAPPA + big
+
+    # A power of two above the least normal: its interval is shorter below, and its own phi_k is used.
+    lanes = np.flatnonzero((fraction == 0) & (field > 1))
+    if lanes.size:
+        e = e[lanes]
+        minus_k = (e * 631305 - 261663) >> 21  # floor(e log10 2 - log10(4 / 3))
+        beta = (e + _floor_log2_pow10(-minus_k)).astype(np.uint64)  # 0 .. 3
+        phi = _multipliers().take(-minus_k - _K_MIN, axis=1)
+        high = (phi[3] << _U(32)) | phi[2]
+        left = ((high - (high >> _U(54))) >> (_U(11) - beta)) + ((e < 2) | (e > 3))  # integral only at e = 2, 3
+        right = (high + (high >> _U(53))) >> (_U(11) - beta)
+        shorter = right // _U(10)
+        found = shorter * _U(10) >= left
+        up = ((high >> (_U(10) - beta)) + _U(1)) >> _U(1)  # y rounded up
+        tie = (e == -77) & ((up & _U(1)) == 1)  # a tie only at e = -77, broken to even
+        digits[lanes] = np.where(found, shorter, np.where(tie, up - _U(1), up + (up < left)))
+        exponent[lanes] = minus_k + found
+        big[lanes] = found
+    lanes = np.flatnonzero(big)  # a multiple of 1000, or of 10 in a shorter interval, may end in zeros
+    if lanes.size:
+        kept, shift = digits[lanes], exponent[lanes]
+        _strip_zeros(kept, shift)
+        digits[lanes], exponent[lanes] = kept, shift
+    return digits, exponent
 
 
 def _digit_chars(digits: np.ndarray, olen: np.ndarray) -> np.ndarray:
@@ -212,7 +198,7 @@ class Decimals(NamedTuple):
 
 
 def decimals(values) -> Decimals:
-    """Ryu's shortest digits of every float64 of ``values`` (flattened)."""
+    """Dragonbox's shortest digits of every float64 of ``values`` (flattened), the same as those of Ryu, which it replaced."""
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
     magnitude = bits & ~_SIGN
     negative = bits >= _SIGN

@@ -192,7 +192,12 @@ def write_csv(path: str | Path, header: list[str], rows: list[list[float | str]]
     """Write a CSV atomically from its rows; see :func:`write_columns`.
 
     Cells are floats, except for plain-label string columns (no commas).
+    Every row has one cell per header name; otherwise ValueError, naming
+    the first row that differs, is raised and no file is written.
     """
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"a header of {len(header)} names for {len(row)} columns in row {i}")
     write_columns(path, header, _transposed(rows) if rows else [[]] * len(header))
 
 

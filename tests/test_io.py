@@ -148,6 +148,14 @@ class TestColumnWriter:
             write_columns(path, ["q", "v"], [["m_a", "m_b"], [0.1, 0.2, 0.3]])
         assert list(tmp_path.iterdir()) == []
 
+    def test_ragged_rows_are_refused_before_any_file(self, tmp_path):
+        path = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match="a header of 2 names for 3 columns in row 0"):
+            write_csv(path, ["a", "b"], [[1.0, 2.0, 3.0], [4.0, 5.0]])
+        with pytest.raises(ValueError, match="a header of 2 names for 1 columns in row 2"):
+            write_csv(path, ["q", "v"], [["m_a", 0.1], ["m_b", 0.2], ["m_c"]])
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_header_of_other_width_is_refused_before_any_file(self, tmp_path):
         path = tmp_path / "c.csv"
         x = np.arange(4.0)
@@ -244,6 +252,37 @@ class TestKernelAgainstRepr:
     def test_any_floats(self, values):
         assert repr_mismatches(values) == []
 
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_patterns(self, patterns):
+        assert repr_mismatches(np.array(patterns, dtype=np.uint64).view(np.float64)) == []
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [
+            # the excluded right endpoint: r = 0, z an integer and an odd significand
+            [0x437E4FDECDC1ED5B, 0x43596B19568AD6BB, 0x439E5FF6B33F0D6F, 0x4365928FB292FD4B],
+            # r == delta, where the left endpoint keeps the big divisor
+            [0x436E98DB2FFC69E4, 0x2E0982E7D2486CB6, 0x58EA147D7A5F55B5, 0x43AEBC76A2723904],
+            # r == delta, where the left endpoint sends the lane to the small divisor
+            [0x4357E736998BD2DF, 0x7864BAE7367B5208, 0x1C87FF772452F255, 0x451A6906EC3A2083],
+            # dist divisible by 100, y not an integer
+            [0x19A18D2EAF839421, 0x5C241445635C862E, 0x3F54E662078F9B80, 0x18865C7DB340EC9E],
+            # dist divisible by 100, y an integer: a tie, rounded down to the even digit
+            [0x4300ECF9EA6E5C12, 0x4307B95730AD453A, 0x431FCBF95CC7E801, 0x43036462576AFC02],
+            # dist divisible by 100, y an integer: a tie, y already even
+            [0x43059289543DBAA6, 0x431BEF36BC74DCFF, 0x43102B2F47EFCB9B, 0x42E2D4D5FE10D48C],
+            # the shorter interval of a power of two, found by the big divisor
+            np.array([2.0**-29, 2.0**-24, 2.0**-14, 1.0]).view(np.uint64).tolist(),
+            # the shorter interval, y rounded up, and at 2^-25 (e = -77) its one tie
+            np.array([2.0**-30, 2.0**-27, 2.0**-23, 2.0**-25]).view(np.uint64).tolist(),
+        ],
+        ids=["right-endpoint", "r-delta-big", "r-delta-small", "dist-100", "tie-down", "tie-even", "shorter", "shorter-up"],
+    )
+    def test_rare_dragonbox_branches(self, patterns):
+        bits = np.array(patterns, dtype=np.uint64)
+        assert repr_mismatches(np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)) == []
+
     def test_csv_bytes_across_slices(self, tmp_path, monkeypatch):
         monkeypatch.setattr(io, "SLICE_ROWS", 7)  # slice edges every 7 rows
         rng = np.random.default_rng(7)
@@ -281,7 +320,7 @@ def test_peak_memory_is_bounded_by_the_row_slice(tmp_path):
     """A 2^20-row, three-column grid CSV stays within a fixed memory bound.
 
     Rows are formatted and written SLICE_ROWS (2^14) at a time; writing
-    this table peaks at about 11 MB of traced memory (numpy reports its
+    this table peaks at 6.6 MiB of traced memory (numpy reports its
     buffers to tracemalloc), and a writer that builds the whole file as
     Python strings first peaks at about 270 MB.  The bound is 32 MB.
     """
