@@ -50,13 +50,6 @@ DEFAULT_WIGNER_STEP = 0.75
 #: The parameters each audited point echoes, in column order.
 ECHOED = ("r", "theta", "delta", "phi", "s")
 
-#: Columns of the audit CSV, one row per audited point.
-CSV_HEADER = [
-    "quantity", *ECHOED, "x", "p",
-    "oracle_re", "oracle_im", "printed_re", "printed_im",
-    "raw_residual", "fitted_scale", "scaled_residual",
-]
-
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -224,27 +217,31 @@ def audit_columns(
 
     echo = {name: np.array([getattr(params, name) for params in grid], dtype=float) for name in ECHOED}
     nan = np.full(len(grid), math.nan)
-    out = []
-    for q in quantities:
-        if q == "wigner":
-            x, p = np.tile(np.repeat(axis, axis.size), len(grid)), np.tile(axis, axis.size * len(grid))
-            echoed = {name: np.repeat(values, cells) for name, values in echo.items()}
-            out.append(_fitted(q, echoed, x, p, oracle[q].ravel(), printed[q].ravel()))
-        else:
-            out.append(_fitted(q, echo, nan, nan, oracle[q], printed[q]))
-    return out
+    points = {q: (echo, nan, nan) for q in quantities}  # each quantity's echo, x and p
+    if "wigner" in quantities:
+        echoed = {name: np.repeat(values, cells) for name, values in echo.items()}
+        points["wigner"] = (echoed, np.tile(np.repeat(axis, axis.size), len(grid)), np.tile(axis, axis.size * len(grid)))
+    return [_fitted(q, *points[q], oracle[q].ravel(), printed[q].ravel()) for q in quantities]
 
 
-def csv_columns(columns: list[QuantityColumns]) -> list:
-    """The columns of the audit CSV (see :data:`CSV_HEADER`), quantity after quantity."""
+#: The audit CSV's float columns after ``quantity``, in order: each name and its values over one quantity's points.
+_CSV_FLOATS = {
+    **{name: (lambda c, name=name: c.echo[name]) for name in ECHOED},
+    "x": lambda c: c.x, "p": lambda c: c.p,
+    "oracle_re": lambda c: c.oracle.real, "oracle_im": lambda c: c.oracle.imag,
+    "printed_re": lambda c: c.printed.real, "printed_im": lambda c: c.printed.imag,
+    "raw_residual": lambda c: c.raw_residual,
+    "fitted_scale": lambda c: np.full(c.oracle.size, c.scale),
+    "scaled_residual": lambda c: c.scaled_residual,
+}
+
+
+def csv_columns(columns: list[QuantityColumns]) -> list[tuple[str, list | np.ndarray]]:
+    """The audit CSV as (name, values) pairs, one row per point, quantity after quantity; with none, every column empty."""
     labels = [c.quantity for c in columns for _ in range(c.oracle.size)]
-    parts = [
-        [c.echo[name] for name in ECHOED]
-        + [c.x, c.p, c.oracle.real, c.oracle.imag, c.printed.real, c.printed.imag]
-        + [c.raw_residual, np.full(c.oracle.size, c.scale), c.scaled_residual]
-        for c in columns
-    ]
-    return [labels, *(np.concatenate(part) for part in zip(*parts))]
+    # the leading empty array keeps np.concatenate defined, and the column float, with no quantity
+    floats = [(name, np.concatenate([np.empty(0)] + [part(c) for c in columns])) for name, part in _CSV_FLOATS.items()]
+    return [("quantity", labels), *floats]
 
 
 def compare(

@@ -35,7 +35,6 @@ from numpy.linalg import LinAlgError
 from . import __version__
 from .audit import (
     ALL_QUANTITIES,
-    CSV_HEADER,
     DEFAULT_R_VALUES,
     DEFAULT_S_VALUES,
     DEFAULT_WIGNER_HALF_WIDTH,
@@ -53,8 +52,8 @@ from .squeezing import point_report
 from .sweeps import DEFAULT_PHIS, DEFAULT_STEP, FIDELITY_COUPLINGS, SweepColumns, fidelity_columns, grid_values, sweep_columns
 from .wigner import check_grid_elements, wigner_grid_values
 
-REPORT_COLUMNS = ["s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity"]
-_REPORT_FIELDS = ["s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity_to_initial"]
+#: Each report field a sweep writes, in column order, and its CSV column name; only the fidelity is renamed.
+REPORT_COLUMNS = {field: field for field in ("s_os", "s_ass", "var_x_min", "var_y_min", "n_mean")} | {"fidelity_to_initial": "fidelity"}
 
 
 def _floats(text: str) -> list[float]:
@@ -96,10 +95,9 @@ def _range(args: argparse.Namespace, name: str, step: str = "") -> np.ndarray:
 
 
 class Output(NamedTuple):
-    """What a runner produced: CSV header and columns, manifest summary, stdout lines."""
+    """What a runner produced: CSV columns as (name, values) pairs (a name may repeat), manifest summary, stdout lines."""
 
-    header: Sequence[str] = ()
-    columns: Sequence = ()
+    columns: Sequence[tuple[str, Sequence]] = ()
     summary: dict | None = None
     lines: Sequence[str] = ()
 
@@ -126,8 +124,8 @@ def _run_sweep(args: argparse.Namespace, params: ExperimentParams) -> Output:
         check_fields(phi=float(phi))
     sweep = sweep_columns(params, swept, _range(args, swept), args.phis, args.backend)
     _fail_on_row_errors(sweep)
-    columns = [sweep.phi, getattr(sweep, swept)] + [getattr(sweep.report, name) for name in _REPORT_FIELDS]
-    return Output(["phi", swept] + REPORT_COLUMNS, columns)
+    report = [(name, getattr(sweep.report, field)) for field, name in REPORT_COLUMNS.items()]
+    return Output([("phi", sweep.phi), (swept, getattr(sweep, swept)), *report])
 
 
 def _run_fig3(args: argparse.Namespace, params: ExperimentParams) -> Output:
@@ -136,8 +134,8 @@ def _run_fig3(args: argparse.Namespace, params: ExperimentParams) -> Output:
     r_grid = _range(args, "r")
     sweeps = fidelity_columns(params, args.s_values, r_grid, args.backend)
     _fail_on_row_errors(*sweeps)
-    columns = [sweep.report.fidelity_to_initial for sweep in sweeps]
-    return Output(["r"] + [f"fidelity_s{s!r}" for s in args.s_values], [r_grid] + columns)
+    fidelities = [(f"fidelity_s{s!r}", sweep.report.fidelity_to_initial) for s, sweep in zip(args.s_values, sweeps)]
+    return Output([("r", r_grid), *fidelities])
 
 
 def _run_wigner(args: argparse.Namespace, params: ExperimentParams) -> Output:
@@ -153,7 +151,7 @@ def _run_wigner(args: argparse.Namespace, params: ExperimentParams) -> Output:
     )
     if args.backend == "oracle" and not grid.within_bounds():
         raise SpacsimError("oracle Wigner values violate the 2/pi bound; numerical failure")
-    return Output(["x", "p", "w"], grid.columns())
+    return Output(list(zip(("x", "p", "w"), grid.columns())))
 
 
 def _run_audit(args: argparse.Namespace, params: ExperimentParams) -> Output:
@@ -166,14 +164,14 @@ def _run_audit(args: argparse.Namespace, params: ExperimentParams) -> Output:
         for s in summaries
     ]
     summary = {s.quantity: {k: v for k, v in asdict(s).items() if k != "quantity"} for s in summaries}
-    return Output(CSV_HEADER, csv_columns(results), summary, lines)
+    return Output(csv_columns(results), summary, lines)
 
 
 def _run_point(args: argparse.Namespace, params: ExperimentParams) -> Output:
     report = point_report(params, args.backend)
     lines = [f"{key}={getattr(params, key)!r}" for key in SCENARIO_FIELDS]
     lines.append(f"backend={args.backend}")
-    lines += [f"{name}={getattr(report, name)!r}" for name in _REPORT_FIELDS]
+    lines += [f"{field}={getattr(report, field)!r}" for field in REPORT_COLUMNS]
     return Output(lines=lines)
 
 
@@ -246,7 +244,7 @@ def _run(args: argparse.Namespace) -> int:
     if command.out:
         config = {key: value for key, value in vars(args).items() if key not in ("command", "out")}
         try:
-            write_columns(args.out, output.header, output.columns)
+            write_columns(args.out, [name for name, _ in output.columns], [values for _, values in output.columns])
             try:
                 write_manifest(args.out, args.command, config, __version__, summary=output.summary)
             except OSError:

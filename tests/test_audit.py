@@ -271,3 +271,12 @@ class TestWignerHalfWidth:
         (columns,) = audit_columns(grid, ("wigner",), 0.0)
         assert columns.oracle.size == len(grid)
         assert columns.x.tolist() == columns.p.tolist() == [0.0, 0.0]
+
+
+def test_csv_columns_of_no_quantity_names_every_column():
+    columns = spacsim.audit.csv_columns([])
+    assert [name for name, _ in columns] == [
+        "quantity", "r", "theta", "delta", "phi", "s", "x", "p", "oracle_re", "oracle_im",
+        "printed_re", "printed_im", "raw_residual", "fitted_scale", "scaled_residual",
+    ]
+    assert all(len(values) == 0 for _, values in columns)

@@ -742,3 +742,31 @@ def test_output_modes_follow_the_umask(tmp_path):
     assert out.stat().st_mode & 0o777 == 0o644
     assert Path(str(out) + ".manifest").stat().st_mode & 0o777 == 0o644
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest"]
+
+
+_AUDIT_HEADER = (
+    "quantity,r,theta,delta,phi,s,x,p,oracle_re,oracle_im,printed_re,printed_im,"
+    "raw_residual,fitted_scale,scaled_residual\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["audit", "--r-values="], _AUDIT_HEADER),
+        (["audit", "--s-values=", "--quantities", "m_a"], _AUDIT_HEADER),
+        (["fig1a", "--phis="], "phi,s,s_os,s_ass,var_x_min,var_y_min,n_mean,fidelity\n"),
+        (["fig3", "--s-values=", "--r-max", "0.04"], "r\n0.0\n0.02\n0.04\n"),
+    ],
+    ids=["audit-no-amplitude", "audit-no-coupling", "fig1a-no-angle", "fig3-no-coupling"],
+)
+def test_empty_point_set_writes_every_column_name(argv, text, tmp_path):
+    """A command with no points still names every column; an audit's manifest then has an empty summary."""
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", str(out)) == 0
+    assert out.read_bytes() == text.encode()
+    if argv[0] == "audit":
+        assert load_manifest(str(out) + ".manifest")["summary"] == {}
+        again = tmp_path / "again.csv"
+        assert run("rerun", str(out) + ".manifest", "--out", str(again)) == 0
+        assert again.read_bytes() == out.read_bytes()

@@ -132,6 +132,11 @@ def cases() -> list[tuple[list[str], bool]]:
         ["audit", "--quantities", "kappa_sq,wigner"],
         # a step of one below the ulp of 1e16: linspace would write points twice, so the grid is rejected
         ["wigner", "--x-min", "1e16", "--x-max", "10000000000000004", "--grid-step", "1", "--p-min", "0", "--p-max", "0"],
+        # empty point sets: every column is named and none has a row
+        ["audit", "--r-values="],
+        ["audit", "--s-values=", "--quantities", "m_a"],
+        ["fig1a", "--phis="],
+        ["fig3", "--s-values="],
     ]
     # the help and version texts
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
