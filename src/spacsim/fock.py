@@ -418,14 +418,8 @@ def column_moments(psi: np.ndarray) -> MomentSet:
 
 def moments(state: FockVector) -> MomentSet:
     """All five field moments of a state by banded ladder action."""
-    m = column_moments(state.amps[:, None])
-    return MomentSet(
-        m_a=complex(m.m_a[0]),
-        m_a2=complex(m.m_a2[0]),
-        m_a4=complex(m.m_a4[0]),
-        n_mean=float(m.n_mean[0]),
-        m_a2d2=float(m.m_a2d2[0]),
-    )
+    columns = column_moments(state.amps[:, None])
+    return MomentSet(*(field.item() for field in vars(columns).values()))
 
 
 def fidelity(a: FockVector, b: FockVector) -> float:

@@ -70,7 +70,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def fmt_column(values) -> list[str]:
     """:func:`fmt` of every value of an array-like, in row-major order: a one-column CSV body, split."""
-    lines = b"".join(_rows(*_cells([np.asarray(values, dtype=float)])))
+    lines = b"".join(_rows(*_cells(["value"], [np.asarray(values, dtype=float)])))
     return lines.decode("ascii").split("\n")[:-1]
 
 
@@ -88,9 +88,18 @@ def _is_labels(column) -> bool:
     return isinstance(column, list) and bool(column) and isinstance(column[0], str)
 
 
-def _label_planes(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct labels as NUL-padded UTF-8 planes (bytes, labels), and each row's index among them."""
+def _mixed(name: str) -> ValueError:
+    return ValueError(f"column {name!r} mixes labels and numbers")
+
+
+def _label_planes(column: list[str], name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct labels as NUL-padded UTF-8 planes (bytes, labels), and each row's index among them.
+
+    Raises ValueError, naming the column, if a distinct entry is not a string.
+    """
     names = list(dict.fromkeys(column))
+    if not all(isinstance(label, str) for label in names):
+        raise _mixed(name)
     position = {name: i for i, name in enumerate(names)}
     index = np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
     encoded = np.array([name.encode("utf-8") for name in names])
@@ -137,13 +146,23 @@ def _csv_chunks(header: list[str], cells: list, rows: int) -> Iterator[bytes | b
     yield from _rows(cells, rows)
 
 
-def _cells(columns: list) -> tuple[list, int]:
+def _floats(column, name: str) -> np.ndarray:
+    try:
+        return np.asarray(column, dtype=float).reshape(-1)
+    except ValueError:
+        if not any(isinstance(value, str) for value in column):
+            raise
+        raise _mixed(name) from None
+
+
+def _cells(header: list[str], columns: list) -> tuple[list, int]:
     """Each column as a flat float array or as (label planes, row index), and the number of rows.
 
-    Raises ValueError, naming the lengths, unless every column has the
-    same number of entries.
+    Raises ValueError, naming the column, if a column mixes labels and
+    numbers, and, naming the lengths, unless every column has the same
+    number of entries.
     """
-    cells = [_label_planes(c) if _is_labels(c) else np.asarray(c, dtype=float).reshape(-1) for c in columns]
+    cells = [_label_planes(c, name) if _is_labels(c) else _floats(c, name) for name, c in zip(header, columns)]
     lengths = [len(c[1]) if isinstance(c, tuple) else c.size for c in cells]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of different lengths: {', '.join(map(str, lengths))}")
@@ -178,13 +197,13 @@ def write_columns(path: str | Path, header: list[str], columns: list) -> None:
 
     A column is array-like floats, formatted with :func:`fmt`, or a list
     of strings (plain labels, no commas, or numbers already formatted)
-    written as they are.  Every column has one entry per row, and the
-    header one name per column; otherwise ValueError is raised and no
-    file is written.
+    written as they are; a column that mixes the two is refused.  Every
+    column has one entry per row, and the header one name per column;
+    otherwise ValueError is raised and no file is written.
     """
-    cells, rows = _cells(columns)
-    if len(header) != len(cells):
-        raise ValueError(f"a header of {len(header)} names for {len(cells)} columns")
+    if len(header) != len(columns):
+        raise ValueError(f"a header of {len(header)} names for {len(columns)} columns")
+    cells, rows = _cells(header, columns)
     _atomic_write(Path(path), _csv_chunks(header, cells, rows))
 
 
@@ -221,7 +240,7 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[float | str]]]:
 def csv_round_trips(path: str | Path) -> bool:
     """True when parse-then-reserialise reproduces the file bytes."""
     header, rows = read_csv(path)
-    return Path(path).read_bytes() == b"".join(_csv_chunks(header, *_cells(_transposed(rows))))
+    return Path(path).read_bytes() == b"".join(_csv_chunks(header, *_cells(header, _transposed(rows))))
 
 
 def _atomic_write(path: Path, chunks: Iterable[bytes | bytearray]) -> None:

@@ -41,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonPositiveNorm, NumericalOverflow
+from .fock import MomentSet
 from .params import ExperimentParams, point_columns
 
 #: Largest |x| and |p| at which the printed Wigner form is evaluated; a point
@@ -50,18 +51,13 @@ _FAR_Z = 1e153
 
 
 @dataclass(frozen=True)
-class PrintedMomentSet:
+class PrintedMomentSet(MomentSet):
     """The five printed moments plus the printed normalisation kappa^2.
 
     Scalars for one point; :func:`printed_moment_columns` fills each
     field with one value per point instead.
     """
 
-    m_a: complex
-    m_a2: complex
-    m_a4: complex
-    n_mean: float
-    m_a2d2: float
     kappa_sq: float
 
 

@@ -16,9 +16,7 @@ import numpy as np
 
 from .fock import MomentSet, PointerColumns, column_moments, column_sum, pointer_column
 from .params import ExperimentParams, point_columns
-from .printed import PrintedMomentSet, evaluate_points, printed_moment_columns
-
-Moments = MomentSet | PrintedMomentSet
+from .printed import evaluate_points, printed_moment_columns
 
 
 @dataclass(frozen=True)
@@ -33,17 +31,17 @@ class SqueezingReport:
     fidelity_to_initial: float
 
 
-def s_os(m: Moments) -> float:
+def s_os(m: MomentSet) -> float:
     """Ordinary squeezing witness <adag a> - |<a>|^2 - |<a^2> - <a>^2|."""
     return m.n_mean - abs(m.m_a) ** 2 - abs(m.m_a2 - m.m_a**2)
 
 
-def s_ass(m: Moments) -> float:
+def s_ass(m: MomentSet) -> float:
     """Amplitude-squared witness <adag^2 a^2> - |<a^2>|^2 - |<a^4> - <a^2>^2|."""
     return m.m_a2d2 - abs(m.m_a2) ** 2 - abs(m.m_a4 - m.m_a2**2)
 
 
-def min_variances(m: Moments) -> tuple[float, float]:
+def min_variances(m: MomentSet) -> tuple[float, float]:
     """Minimum variances of the quadrature and squared-amplitude operators.
 
     Already optimised over the quadrature phase:
@@ -52,7 +50,7 @@ def min_variances(m: Moments) -> tuple[float, float]:
     return 0.25 + s_os(m) / 2.0, m.n_mean + 0.5 + s_ass(m) / 2.0
 
 
-def report_from_moments(m: Moments, fidelity_to_initial: float) -> SqueezingReport:
+def report_from_moments(m: MomentSet, fidelity_to_initial: float) -> SqueezingReport:
     var_x, var_y = min_variances(m)
     return SqueezingReport(
         s_os=s_os(m),

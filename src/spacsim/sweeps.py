@@ -170,11 +170,16 @@ def sweep_columns(
     """Sweep field ``swept`` ("r" or "s") of ``base`` over ``values`` for each angle in ``phis``.
 
     Rows run angle outer, swept value inner; every other field comes
-    from ``base``.  Raises what :func:`validate` raises for the first
-    invalid point in row order.  Both swept fields need only be finite
-    and >= 0, so each angle is checked with the smallest value and the
-    largest value is checked once; for an ascending grid the smallest is
-    the first.
+    from ``base``.  Both swept fields need only be finite and >= 0, so
+    no row is checked on its own.  The checks run in this order, and the
+    first that fails raises what :func:`validate` raises: ``base``; each
+    angle in turn with the smallest swept value, in :func:`check_fields`'
+    field order; then the largest swept value.  When the values ascend
+    and every angle is valid, that is the error of the first invalid
+    row.  Otherwise a later row can be named: with r values (0, 1, inf)
+    and angles (1, 4), phi = 4 raises
+    :class:`~spacsim.errors.DegeneratePostselection` although the row
+    (phi 1, r inf) comes first.
     """
     if swept not in ("r", "s"):
         raise ValueError(f"cannot sweep {swept!r}; sweep 'r' or 's'")

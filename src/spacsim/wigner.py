@@ -93,21 +93,22 @@ def required_dim(state: FockVector, beta_max: float) -> int:
     The displaced occupation is concentrated below (|beta| + sqrt(n_s))^2
     for a state supported up to level n_s; eight standard deviations of
     Poisson-like spread are added on top, then rounded up to a multiple
-    of 32 so the cached generator factorisations are reused.  Raises
+    of 32 so the cached generator factorisations are reused; a state
+    that already has more levels keeps its dimension.  Raises
     ValueError, before anything is allocated, when the square of the
-    padded dimension (the displacement's eigenvector matrix) exceeds
-    :data:`MAX_GRID_ELEMENTS`; for the figure preset that allows
-    |beta| up to about 54.
+    returned dimension (the displacement's eigenvector matrix) exceeds
+    :data:`MAX_GRID_ELEMENTS`, at any |beta| and any state dimension;
+    for the figure preset that allows |beta| up to about 54.
     """
     m = beta_max + math.sqrt(state.support()) + 1.0
-    need = m * m + 8.0 * m + 12.0
+    need = max(m * m + 8.0 * m + 12.0, state.dim)
     if not need * need <= MAX_GRID_ELEMENTS:  # a Python float overflows to inf silently
         levels = f"{math.ceil(need):.6g}" if math.isfinite(need) else "1e308"
         raise ValueError(
             f"displacing by |beta| = {beta_max:.6g} needs a padded dimension of at least {levels} Fock levels, whose "
             f"square (the displacement's eigenvector matrix) exceeds {MAX_GRID_ELEMENTS} elements"
         )
-    need = max(int(math.ceil(need)), state.dim)
+    need = math.ceil(need)
     return ((need + 31) // 32) * 32 if need > state.dim else state.dim
 
 

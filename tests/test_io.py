@@ -148,6 +148,12 @@ class TestColumnWriter:
             write_columns(path, ["q", "v"], [["m_a", "m_b"], [0.1, 0.2, 0.3]])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("column", [["x", 1.0], [1.0, "x"]])
+    def test_a_column_of_labels_and_numbers_is_refused_before_any_file(self, tmp_path, column):
+        with pytest.raises(ValueError, match="column 'b' mixes labels and numbers"):
+            write_columns(tmp_path / "c.csv", ["a", "b"], [[0.5, 2.0], column])
+        assert list(tmp_path.iterdir()) == []
+
     def test_ragged_rows_are_refused_before_any_file(self, tmp_path):
         path = tmp_path / "c.csv"
         with pytest.raises(ValueError, match="a header of 2 names for 3 columns in row 0"):

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spacsim.sweeps
-from spacsim.errors import NumericalOverflow, TruncationTooSmall
+from spacsim.errors import DegeneratePostselection, NumericalOverflow, RangeError, TruncationTooSmall
 from spacsim.fock import (
     FockVector,
+    MomentSet,
     PointerColumns,
     basis_state,
     coherent,
@@ -22,6 +23,7 @@ from spacsim.fock import (
     spacs,
 )
 from spacsim.params import FIGURE_PRESET, weak_value
+from spacsim.printed import printed_moments
 from spacsim.squeezing import column_report, min_variances, point_report, report_from_moments, s_ass, s_os
 from spacsim.sweeps import (
     BLOCK_ELEMENTS,
@@ -63,6 +65,13 @@ class TestWitnesses:
         report = point_report(FIGURE_PRESET)
         assert report.s_ass == pytest.approx(-0.8513260769145519, abs=1e-9)
         assert report.s_ass < 0
+
+    def test_printed_moments_are_a_moment_set_with_the_report_bits(self):
+        m = printed_moments(FIGURE_PRESET)
+        assert isinstance(m, MomentSet)
+        report = point_report(FIGURE_PRESET, "printed")
+        assert s_os(m).hex() == report.s_os.hex()
+        assert s_ass(m).hex() == report.s_ass.hex()
 
 
 class TestMinimumVariances:
@@ -400,6 +409,18 @@ class TestReportColumns:
     def test_sweep_columns_sweeps_only_r_or_s(self):
         with pytest.raises(ValueError, match="cannot sweep 'theta'; sweep 'r' or 's'"):
             sweep_columns(FIGURE_PRESET, "theta", [0.1, 0.2], DEFAULT_PHIS)
+
+    def test_sweep_columns_checks_every_angle_before_the_largest_value(self):
+        # ascending values and valid angles: the first invalid row's error
+        with pytest.raises(RangeError, match="got inf") as info:
+            sweep_columns(FIGURE_PRESET, "r", [0.0, 1.0, math.inf], (1.0, 2.0))
+        assert info.value.field == "r"
+        # an invalid later angle is found first, although the row (phi 1, r inf) comes before it
+        with pytest.raises(DegeneratePostselection, match="phi = 4.0"):
+            sweep_columns(FIGURE_PRESET, "r", [0.0, 1.0, math.inf], (1.0, 4.0))
+        # each angle is checked with the smallest value in field order, r before phi
+        with pytest.raises(RangeError, match="got -1.0"):
+            sweep_columns(FIGURE_PRESET, "r", [1.0, -1.0], (4.0,))
 
     @pytest.mark.parametrize("trunc", [128, 256, 448])
     def test_oracle_fidelity_is_at_most_one_and_exactly_one_at_zero_coupling(self, trunc):

@@ -338,3 +338,10 @@ class TestReferenceRouteInput:
         message = str(info.value)
         assert f"|beta| = {z:.6g} " in message and f" at least {levels} Fock levels" in message
         assert "grid" not in message and "inf" not in message
+
+    def test_state_dimension_over_the_cap_is_refused_before_allocating(self):
+        # 8192 levels need no padding at beta = 0, but the eigenvector matrix would hold 8192^2 > 2^24 elements
+        state = basis_state(1, 8192)
+        with pytest.raises(ValueError, match="16777216"):
+            required_dim(state, 0.0)
+        assert _peak_bytes(lambda: wigner_point(state, 0.0)) < 2**20
