@@ -1,6 +1,6 @@
 """Shortest round-trip decimal text of float64 arrays, byte for byte ``repr``.
 
-:func:`decimals` and :func:`segments` format a whole array at once,
+:func:`segments`, the one entry point, formats a whole array at once,
 with no Python code per value.  The digits come from Dragonbox's
 ``to_decimal``, round to nearest with ties to even (Jeon, "Dragonbox:
 A New Floating-Point Binary-to-Decimal Conversion Algorithm", 2020),
@@ -38,8 +38,6 @@ the same block as (16, 40000) planes 0.07 ms (2-vCPU Xeon, numpy 2.4).
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
-
 import numpy as np
 
 _U = np.uint64
@@ -187,84 +185,69 @@ def _digit_chars(digits: np.ndarray, olen: np.ndarray) -> np.ndarray:
     return out
 
 
-class Decimals(NamedTuple):
-    """The shortest round-trip decimal of each value, ready to lay out."""
+def segments(values) -> np.ndarray:
+    """The ``repr`` text of every float64 of ``values`` (flattened) as uint8 planes of segments, (bytes, n).
 
-    negative: np.ndarray  #: sign bit set
-    chars: np.ndarray  #: (17, n) planes of ASCII digits, left-aligned; those past ``olen`` are not part of the text
-    olen: np.ndarray  #: number of digits
-    decpt: np.ndarray  #: value = 0.d1d2... * 10^decpt
-    constant: np.ndarray  #: index into the constant texts 0.0, -0.0, inf, -inf, nan, or -1
-
-
-def decimals(values) -> Decimals:
-    """Dragonbox's shortest digits of every float64 of ``values`` (flattened), the same as those of Ryu, which it replaced."""
+    The non-NUL bytes of column i, in order, are the text of value i.
+    Each plane holds one byte position of every value, so each glyph and
+    kept block is filled along contiguous rows.  Segments and ``.``
+    positions that no value uses are left out.
+    """
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
     magnitude = bits & ~_SIGN
     negative = bits >= _SIGN
     special = (magnitude == 0) | (magnitude >= _EXPONENT_ALL_ONES)
     digits, exponent = _decimal(np.where(special, _ONE, magnitude))
     olen = np.searchsorted(_POW10[1:], digits, side="right") + 1
-    constant = np.full(bits.size, -1)
-    lanes = np.flatnonzero(special)
-    if lanes.size:
-        m = magnitude[lanes]
-        constant[lanes] = np.where(m > _EXPONENT_ALL_ONES, 4, 2 * (m != 0) + negative[lanes])
-    decpt = (exponent + olen).astype(np.int16)
-    return Decimals(negative, _digit_chars(digits, olen), olen.astype(np.int8), decpt, constant)
+    chars = _digit_chars(digits, olen)
+    decpt = (exponent + olen).astype(np.int16)  # value = 0.d1d2... * 10^decpt
+    olen = olen.astype(np.int8)
 
-
-def segments(d: Decimals) -> np.ndarray:
-    """Lay out decimals as uint8 planes of segments, (bytes, n): the non-NUL bytes of column i, in order, are its text.
-
-    Each plane holds one byte position of every value, so each glyph and
-    kept block is filled along contiguous rows.  Segments and ``.``
-    positions that no value uses are left out.
-    """
-    n = d.olen.size
-    sci = (d.decpt <= -4) | (d.decpt > 16)
-    lead = ~sci & (d.decpt <= 0)
-    whole = ~sci & (d.decpt >= d.olen)
-    point = np.where(sci, 0, np.where(lead | whole, 17, d.decpt - 1))  # the digit a '.' follows
-    width = int(d.olen.max()) if n else 1
+    n = olen.size
+    sci = (decpt <= -4) | (decpt > 16)
+    lead = ~sci & (decpt <= 0)
+    whole = ~sci & (decpt >= olen)
+    point = np.where(sci, 0, np.where(lead | whole, 17, decpt - 1))  # the digit a '.' follows
+    width = int(olen.max()) if n else 1
     planes = lambda a, b: np.arange(a, b)[:, None]  # noqa: E731
     glyphs = lambda text: np.frombuffer(text.encode("ascii"), dtype=np.uint8)[:, None]  # noqa: E731
 
-    blocks = [(_MINUS, d.negative[None])]  # (glyphs, kept), kept of shape (segment width, n)
+    blocks = [(_MINUS, negative[None])]  # (glyphs, kept), kept of shape (segment width, n)
     if lead.any():  # 0.000ddd
-        fill = int(-d.decpt[lead].min())
-        blocks.append((glyphs("0.000")[: 2 + fill], lead & (planes(0, 2 + fill) < 2 - d.decpt)))
-    pointed = point + 1 < d.olen
+        fill = int(-decpt[lead].min())
+        blocks.append((glyphs("0.000")[: 2 + fill], lead & (planes(0, 2 + fill) < 2 - decpt)))
+    pointed = point + 1 < olen
     start = 0
     for slot in np.flatnonzero(np.bincount(point[pointed], minlength=width)).tolist() + [width - 1]:
-        blocks.append((d.chars[start : slot + 1], planes(start, slot + 1) < d.olen))
+        blocks.append((chars[start : slot + 1], planes(start, slot + 1) < olen))
         if slot < width - 1:
             blocks.append((_DOT, (pointed & (point == slot))[None]))
         start = slot + 1
     if whole.any():  # ddd000.0
-        fill = int((d.decpt - d.olen)[whole].max())
-        blocks.append((glyphs("0" * fill + ".0"), whole & ((planes(0, fill + 2) < d.decpt - d.olen) | (planes(0, fill + 2) >= fill))))
+        fill = int((decpt - olen)[whole].max())
+        blocks.append((glyphs("0" * fill + ".0"), whole & ((planes(0, fill + 2) < decpt - olen) | (planes(0, fill + 2) >= fill))))
     if sci.any():  # d.ddde-XX
-        e = d.decpt - 1
+        e = decpt - 1
         ae = np.abs(e).astype(np.uint16)
         hundreds, tens = ae // 100, ae // 10
-        exponent = np.empty((5, n), dtype=np.uint8)
-        exponent[0] = _E
-        exponent[1] = np.where(e < 0, _MINUS, _PLUS)
-        exponent[2] = hundreds + ord("0")
-        exponent[3] = tens - hundreds * 10 + ord("0")
-        exponent[4] = ae - tens * 10 + ord("0")
+        suffix = np.empty((5, n), dtype=np.uint8)
+        suffix[0] = _E
+        suffix[1] = np.where(e < 0, _MINUS, _PLUS)
+        suffix[2] = hundreds + ord("0")
+        suffix[3] = tens - hundreds * 10 + ord("0")
+        suffix[4] = ae - tens * 10 + ord("0")
         kept = np.repeat(sci[None], 5, axis=0)
         kept[2] &= ae >= 100  # NUL throughout if no exponent has three digits
-        blocks.append((exponent, kept))
+        blocks.append((suffix, kept))
 
     out = np.empty((sum(kept.shape[0] for _, kept in blocks), n), dtype=np.uint8)
     at = 0
     for glyph, kept in blocks:
         np.multiply(glyph, kept, out=out[at : at + kept.shape[0]])
         at += kept.shape[0]
-    lanes = np.flatnonzero(d.constant >= 0)
-    if lanes.size:
+    lanes = np.flatnonzero(special)
+    if lanes.size:  # the constant texts 0.0, -0.0, inf, -inf and nan
+        m = magnitude[lanes]
         out[:, lanes] = 0
-        out[:4, lanes] = _CONSTANT_TEXTS[d.constant[lanes]].T
+        out[:4, lanes] = _CONSTANT_TEXTS[np.where(m > _EXPONENT_ALL_ONES, 4, 2 * (m != 0) + negative[lanes])].T
     return out

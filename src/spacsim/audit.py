@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import RangeError, TruncationTooSmall
 from .fock import column_moments, column_state
-from .params import FIGURE_PRESET, ExperimentParams, point_columns
+from .params import FIGURE_PRESET, ExperimentParams, check_points, point_columns
 from .printed import evaluate_points, printed_kappa_sq_columns, printed_moment_columns, printed_wigner_values
 from .sweeps import grid_values, pointer_blocks
 from .wigner import check_grid_elements, wigner_grid_values
@@ -121,7 +121,14 @@ def default_audit_grid(
     r_values: tuple[float, ...] = DEFAULT_R_VALUES,
     s_values: tuple[float, ...] = DEFAULT_S_VALUES,
 ) -> list[ExperimentParams]:
-    """Cartesian parameter grid with the figure-preset angles."""
+    """Cartesian parameter grid with the figure-preset angles.
+
+    Raises ValueError, before building it, when the grid has more points
+    than :data:`~spacsim.params.MAX_GRID_ELEMENTS`; the cap bounds the
+    memory, which at the cap is still several GB, but does not make it
+    small.
+    """
+    check_points("an audit grid", len(r_values), len(s_values))
     return [base.with_(r=float(r), s=float(s)) for r in r_values for s in s_values]
 
 

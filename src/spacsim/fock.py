@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationTooSmall
-from .params import TAIL_LEVELS, ExperimentParams, point_columns
+from .params import MAX_GRID_ELEMENTS, TAIL_LEVELS, ExperimentParams, point_columns
 
 #: Maximum tolerated tail share: the fraction of a constructed state's
 #: squared norm in its top TAIL_LEVELS levels.
@@ -212,8 +212,11 @@ def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
     Every displacement amplitude factorises through this one
     decomposition (see :func:`displaced_columns`), so one eigh call
-    serves them all.
+    serves them all.  Raises ValueError, before allocating, when the
+    dim x dim generator exceeds :data:`MAX_GRID_ELEMENTS`.
     """
+    if dim * dim > MAX_GRID_ELEMENTS:
+        raise ValueError(f"displacing at dimension {dim} needs a {dim} x {dim} generator, more than {MAX_GRID_ELEMENTS} elements")
     off = np.sqrt(np.arange(1, dim))
     gen = np.zeros((dim, dim), dtype=np.complex128)
     rows = np.arange(1, dim)

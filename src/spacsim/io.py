@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._shortest import decimals, segments
+from ._shortest import segments
 from .sweeps import grid_values
 
 WIGNER_BOUND = 2.0 / math.pi
@@ -84,12 +84,19 @@ def fmt_tiled(axis, reps: int) -> list[str]:
     return fmt_column(axis) * reps
 
 
-def _is_labels(column) -> bool:
-    return isinstance(column, list) and bool(column) and isinstance(column[0], str)
-
-
 def _mixed(name: str) -> ValueError:
     return ValueError(f"column {name!r} mixes labels and numbers")
+
+
+def _is_labels(column, name: str) -> bool:
+    """True for a list whose first entry is a string; raises ValueError, naming the column, for a list of numbers that holds one."""
+    if not isinstance(column, list) or not column:
+        return False
+    if isinstance(column[0], str):
+        return True
+    if any(isinstance(value, str) for value in column):  # float() would read "2.5" as a number
+        raise _mixed(name)
+    return False
 
 
 def _label_planes(column: list[str], name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +153,6 @@ def _csv_chunks(header: list[str], cells: list, rows: int) -> Iterator[bytes | b
     yield from _rows(cells, rows)
 
 
-def _floats(column, name: str) -> np.ndarray:
-    try:
-        return np.asarray(column, dtype=float).reshape(-1)
-    except ValueError:
-        if not any(isinstance(value, str) for value in column):
-            raise
-        raise _mixed(name) from None
-
-
 def _cells(header: list[str], columns: list) -> tuple[list, int]:
     """Each column as a flat float array or as (label planes, row index), and the number of rows.
 
@@ -162,7 +160,7 @@ def _cells(header: list[str], columns: list) -> tuple[list, int]:
     numbers, and, naming the lengths, unless every column has the same
     number of entries.
     """
-    cells = [_label_planes(c, name) if _is_labels(c) else _floats(c, name) for name, c in zip(header, columns)]
+    cells = [_label_planes(c, name) if _is_labels(c, name) else np.asarray(c, dtype=float).reshape(-1) for name, c in zip(header, columns)]
     lengths = [len(c[1]) if isinstance(c, tuple) else c.size for c in cells]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of different lengths: {', '.join(map(str, lengths))}")
@@ -176,7 +174,7 @@ def _rows(cells: list, rows: int) -> Iterator[bytearray]:
     for start in range(0, rows, SLICE_ROWS):
         stop = min(start + SLICE_ROWS, rows)
         floats = [_distinct(c[start:stop]) for c in cells if not isinstance(c, tuple)]
-        planes = segments(decimals(np.concatenate([patterns for patterns, _ in floats]))) if floats else None
+        planes = segments(np.concatenate([patterns for patterns, _ in floats])) if floats else None
         at, parts, next_float = 0, [], iter(floats)
         for c, separator in zip(cells, separators):
             if isinstance(c, tuple):

@@ -34,6 +34,14 @@ MIN_TRUNC = TAIL_LEVELS + 2
 #: amplitudes up to |alpha| of about 1000.
 MAX_TRUNC = 2**20
 
+#: Most elements in any one array of a grid evaluation (the psi lattice,
+#: the integrand, the kernel, the output, or a complex grid of points) or
+#: of a dim x dim displacement generator, and most rows of a point set (a
+#: sweep, a fidelity table or an audit grid).  Checked before allocating;
+#: the default 201 x 201 panel needs about 4e4.  It bounds memory but
+#: does not make it small: a sweep at the cap takes several GB.
+MAX_GRID_ELEMENTS = 2**24
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -84,6 +92,17 @@ def validate(params: ExperimentParams) -> ExperimentParams:
     """
     check_fields(params.r, params.theta, params.delta, params.phi, params.s, params.trunc)
     return params
+
+
+def check_points(what: str, *sizes: int) -> None:
+    """Raise ValueError, naming the count and the cap, if ``what`` has more points than :data:`MAX_GRID_ELEMENTS`.
+
+    ``sizes`` are the lengths of the axes whose product is the point set.
+    """
+    count = math.prod(sizes)
+    if count > MAX_GRID_ELEMENTS:
+        sides = " x ".join(map(str, sizes))
+        raise ValueError(f"{what} of {sides} = {count} points exceeds the cap of {MAX_GRID_ELEMENTS} points; use fewer values")
 
 
 def check_fields(

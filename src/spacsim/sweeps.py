@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import TruncationTooSmall
 from .fock import PointerColumns, pointer_columns, row_keys
-from .params import ExperimentParams, check_fields, validate, weak_value
+from .params import ExperimentParams, check_fields, check_points, validate, weak_value
 from .squeezing import SqueezingReport, column_report, printed_column_report
 
 #: Default grid step for both sweep kinds; smooth curves at O(N) cost per point.
@@ -164,6 +164,20 @@ def report_columns(alpha, s, w, trunc: int, backend: str, point) -> tuple[Squeez
     return report, tuple(errors)
 
 
+def _checked_axes(base: ExperimentParams, swept: str, values, phis) -> tuple[np.ndarray, np.ndarray]:
+    """The swept values and the angles as float arrays, after :func:`sweep_columns`' field checks."""
+    if swept not in ("r", "s"):
+        raise ValueError(f"cannot sweep {swept!r}; sweep 'r' or 's'")
+    validate(base)
+    values = np.asarray(values, dtype=np.float64)
+    phis = np.asarray(phis, dtype=np.float64)
+    lo, hi = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
+    for phi in phis.tolist():
+        check_fields(phi=phi, **{swept: lo})
+    check_fields(**{swept: hi})
+    return values, phis
+
+
 def sweep_columns(
     base: ExperimentParams, swept: str, values, phis: tuple[float, ...], backend: str = "oracle"
 ) -> SweepColumns:
@@ -179,17 +193,13 @@ def sweep_columns(
     row.  Otherwise a later row can be named: with r values (0, 1, inf)
     and angles (1, 4), phi = 4 raises
     :class:`~spacsim.errors.DegeneratePostselection` although the row
-    (phi 1, r inf) comes first.
+    (phi 1, r inf) comes first.  Last, a grid of more rows than
+    :data:`~spacsim.params.MAX_GRID_ELEMENTS` raises ValueError before
+    anything is allocated; the cap bounds the memory, which at the cap
+    is still several GB, but does not make it small.
     """
-    if swept not in ("r", "s"):
-        raise ValueError(f"cannot sweep {swept!r}; sweep 'r' or 's'")
-    validate(base)
-    values = np.asarray(values, dtype=np.float64)
-    phis = np.asarray(phis, dtype=np.float64)
-    lo, hi = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
-    for phi in phis.tolist():
-        check_fields(phi=phi, **{swept: lo})
-    check_fields(**{swept: hi})
+    values, phis = _checked_axes(base, swept, values, phis)
+    check_points("a sweep", phis.size, values.size)
 
     n = phis.size * values.size
     phi = np.repeat(phis, values.size)
@@ -229,7 +239,18 @@ def sweep_r(
 def fidelity_columns(
     base: ExperimentParams, couplings: tuple[float, ...], r_values, backend: str = "oracle"
 ) -> list[SweepColumns]:
-    """One amplitude sweep per coupling, at the angle of ``base``, in coupling order."""
+    """One amplitude sweep per coupling, at the angle of ``base``, in coupling order.
+
+    Every coupling's sweep is checked as :func:`sweep_columns` checks it
+    before any is evaluated, so invalid input is named before a
+    numerical failure.  Then a table of more rows (couplings x r values)
+    than :data:`~spacsim.params.MAX_GRID_ELEMENTS` raises ValueError
+    before anything is allocated; the cap bounds the memory, which at
+    the cap is still several GB, but does not make it small.
+    """
+    for s in couplings:
+        _checked_axes(base.with_(s=s), "r", r_values, (base.phi,))
+    check_points("a fidelity table", len(couplings), np.size(r_values))
     return [sweep_columns(base.with_(s=s), "r", r_values, (base.phi,), backend) for s in couplings]
 
 

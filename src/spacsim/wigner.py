@@ -55,6 +55,7 @@ import numpy as np
 from ._parallel import run_ordered
 from .errors import TruncationTooSmall
 from .fock import TAIL_LEVELS, TAIL_THRESHOLD, FockVector, displaced_columns, pad
+from .params import MAX_GRID_ELEMENTS
 
 #: Points per batch of the parity and characteristic-function routes; bounds memory.
 CHUNK = 4096
@@ -71,11 +72,6 @@ SUPPORT_MARGIN = 6.0
 #: Largest |psi|^2 tolerated at the ends of the grid route's y range; the
 #: dropped part of the integral is of this order.
 PSI_TAIL_THRESHOLD = 1e-24
-
-#: Most elements in any one array of a grid evaluation: the psi lattice,
-#: the integrand, the kernel, the output, or a complex grid of points.
-#: Checked before allocating; the default 201 x 201 panel needs about 4e4.
-MAX_GRID_ELEMENTS = 2**24
 
 #: Ceiling of the recurrence frame of :func:`_scaled_sum`; a value above it is divided by it.
 _RESCALE = 1e150

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -645,6 +646,21 @@ class TestGridCaps:
         err = capsys.readouterr().err
         assert err.startswith("spacsim: invalid arguments: ") and err.count("\n") == 1
         assert not out.exists() and not Path(str(out) + ".manifest").exists()
+
+
+    def test_oversized_sweep_is_refused_before_allocating(self, tmp_path, capsys):
+        # 257 angles x 65536 couplings: 16,842,752 rows, about 3.9 GB of columns
+        out = tmp_path / "out.csv"
+        argv = ["fig1a", "--phis", ",".join(["1.0"] * 257), "--s-max", "4", "--s-step", "6.103608758678569e-05"]
+        tracemalloc.start()
+        try:
+            assert run(*argv, "--out", str(out)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "257 x 65536 = 16842752 points exceeds the cap of 16777216" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRangeErrors:

@@ -1,6 +1,7 @@
 """Truncated Fock-space oracle: states, displacement, moments, fidelity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,18 @@ class TestDisplace:
 
         with pytest.raises(TruncationTooSmall):
             displace(4.0, spacs(2.0, 32))
+
+    def test_generator_above_the_cap_is_refused_before_allocating(self):
+        # an 8192-level generator would take 1 GiB before eigh ran
+        state = basis_state(1, 8192)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension 8192 .* more than 16777216 elements"):
+                displace(1.0, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestFinalPointerState:

@@ -148,10 +148,15 @@ class TestColumnWriter:
             write_columns(path, ["q", "v"], [["m_a", "m_b"], [0.1, 0.2, 0.3]])
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("column", [["x", 1.0], [1.0, "x"]])
+    @pytest.mark.parametrize("column", [["x", 1.0], [1.0, "x"], [1.0, "2.5"]])
     def test_a_column_of_labels_and_numbers_is_refused_before_any_file(self, tmp_path, column):
         with pytest.raises(ValueError, match="column 'b' mixes labels and numbers"):
             write_columns(tmp_path / "c.csv", ["a", "b"], [[0.5, 2.0], column])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_ragged_list_column_is_refused_before_any_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_columns(tmp_path / "c.csv", ["a"], [[[1.0, 2.0], [3.0]]])
         assert list(tmp_path.iterdir()) == []
 
     def test_ragged_rows_are_refused_before_any_file(self, tmp_path):

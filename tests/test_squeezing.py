@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spacsim.sweeps
+from spacsim.audit import default_audit_grid
 from spacsim.errors import DegeneratePostselection, NumericalOverflow, RangeError, TruncationTooSmall
 from spacsim.fock import (
     FockVector,
@@ -163,6 +165,33 @@ class TestSweeps:
                 va, vb = getattr(a.report, field), getattr(b.report, field)
                 if abs(va) > 1e-6:
                     assert math.copysign(1, va) == math.copysign(1, vb)
+
+
+class TestPointSetCaps:
+    """Each point set above MAX_GRID_ELEMENTS rows is refused before its columns are allocated."""
+
+    @pytest.mark.parametrize(
+        "build, sides",
+        [
+            (lambda: sweep_columns(FIGURE_PRESET, "s", grid_values(0.0, 4.0, 4 / 65535), (1.0,) * 257), "257 x 65536"),
+            (lambda: fidelity_columns(FIGURE_PRESET, (0.5,) * 257, grid_values(0.0, 3.0, 3 / 65535)), "257 x 65536"),
+            (lambda: default_audit_grid(FIGURE_PRESET, (1.0,) * 4097, (0.5,) * 4097), "4097 x 4097"),
+        ],
+        ids=["sweep", "fidelity", "audit"],
+    )
+    def test_refused_before_allocating(self, build, sides):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"of {sides} = [0-9]+ points exceeds the cap of 16777216 points"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_invalid_coupling_is_named_before_the_size(self):
+        with pytest.raises(RangeError, match="coupling ratio must be >= 0"):
+            fidelity_columns(FIGURE_PRESET, (0.5,) * 256 + (-1.0,), grid_values(0.0, 3.0, 3 / 65535))
 
 
 class TestFidelityTable:
