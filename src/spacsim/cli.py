@@ -18,6 +18,10 @@ Exit codes: 0 success, 2 invalid arguments or parameters, or an
 ``--out`` that cannot be written (then neither the CSV nor its manifest
 is left behind), 3 numerical backend failure (the message names the
 failing row or point).
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` when the variable
+is unset and numpy is not yet loaded, so a CLI process runs one BLAS
+thread; ``import spacsim`` alone sets nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +32,13 @@ import os
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple, Sequence
+
+# No command calls BLAS, and each idle OpenBLAS worker spins for about
+# 0.1 s of CPU after numpy loads, so a CLI process starts one BLAS thread.
+# Only before numpy loads: an explicit count wins, and a process that
+# imported numpy first keeps its threads and its environment.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 from numpy.linalg import LinAlgError

@@ -533,6 +533,37 @@ def test_wigner_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert panels[0] == panels[1]
 
 
+_THREADS_CHILD = """
+import json, os, sys
+if sys.argv[2] == "numpy-first":
+    import numpy
+import spacsim.cli
+code = spacsim.cli.main(["wigner", "--r", "0", "--s", "0", "--out", sys.argv[1]])
+print(json.dumps([code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize(
+    "setting, order, env_after",
+    [(None, "cli-first", "1"), ("2", "cli-first", "2"), (None, "numpy-first", None)],
+    ids=["default", "explicit", "numpy-first"],
+)
+def test_a_cli_process_defaults_openblas_to_one_thread(setting, order, env_after, tmp_path):
+    """Only a process that imports the CLI before numpy gets the one-thread default, and never over a set value."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(spacsim.__file__).resolve().parents[1])
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    argv = [sys.executable, "-c", _THREADS_CHILD, str(tmp_path / "w.csv"), order]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, count, value = json.loads(done.stdout)
+    assert (code, value) == (0, env_after)
+    if order == "cli-first":  # OpenBLAS runs no more threads than the process may use CPUs
+        assert count == min(int(env_after), len(os.sched_getaffinity(0)))
+
+
 # The manifest config keys each command wrote before its flags came from one table.
 _SCENARIO_KEYS = {"r", "theta", "delta", "phi", "s", "trunc", "backend", "workers"}
 _CONFIG_KEYS = {
