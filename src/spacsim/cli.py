@@ -14,10 +14,10 @@ The manifest ``config`` is every parsed flag except ``command`` and
 ``out``, with ``--trunc`` resolved, and ``rerun`` turns it back into
 flags with :func:`spacsim.io.manifest_argv`.
 
-Exit codes: 0 success, 2 invalid arguments or parameters, or an
-``--out`` that cannot be written (then neither the CSV nor its manifest
-is left behind), 3 numerical backend failure (the message names the
-failing row or point).
+Exit codes: 0 success, 2 invalid arguments or parameters (a
+``--backend`` not in :data:`spacsim.sweeps.ROUTES` too), or an ``--out``
+that cannot be written (then neither the CSV nor its manifest is left
+behind), 3 numerical failure (the message names the failing row or point).
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` when the variable
 is unset and numpy is not yet loaded, so a CLI process runs one BLAS
@@ -55,13 +55,10 @@ from .audit import (
     default_audit_grid,
 )
 from .errors import RangeError, SpacsimError
-from .fock import final_pointer_state
 from .io import WignerGrid, load_manifest, manifest_argv, write_columns, write_manifest
 from .params import DEFAULT_TRUNC, FIGURE_PRESET, ExperimentParams, check_fields, validate
-from .printed import printed_wigner_values
 from .squeezing import point_report
-from .sweeps import DEFAULT_PHIS, DEFAULT_STEP, FIDELITY_COUPLINGS, SweepColumns, fidelity_columns, grid_values, sweep_columns
-from .wigner import check_grid_elements, wigner_grid_values
+from .sweeps import DEFAULT_PHIS, DEFAULT_STEP, FIDELITY_COUPLINGS, ROUTES, SweepColumns, fidelity_columns, grid_values, sweep_columns
 
 #: Each report field a sweep writes, in column order, and its CSV column name; only the fidelity is renamed.
 REPORT_COLUMNS = {field: field for field in ("s_os", "s_ass", "var_x_min", "var_y_min", "n_mean")} | {"fidelity_to_initial": "fidelity"}
@@ -85,7 +82,7 @@ SCENARIO_FLAGS = (
 )
 SCENARIO_FIELDS = tuple(flag[2:] for flag, *_ in SCENARIO_FLAGS)  # the ExperimentParams fields
 RUN_FLAGS = (
-    ("--backend", ("oracle", "printed"), "oracle", None),
+    ("--backend", tuple(ROUTES), "oracle", None),
     ("--workers", int, 1, "accepted so that old manifests rerun; ignored by every command"),
 )
 
@@ -151,17 +148,11 @@ def _run_fig3(args: argparse.Namespace, params: ExperimentParams) -> Output:
 
 def _run_wigner(args: argparse.Namespace, params: ExperimentParams) -> Output:
     xs, ps = _range(args, "x", "grid_step"), _range(args, "p", "grid_step")
-    if args.backend == "oracle":
-        values = wigner_grid_values(final_pointer_state(params), xs, ps)
-    else:
-        check_grid_elements(xs.size * ps.size)
-        values = printed_wigner_values(params, xs[:, None] + 1j * ps[None, :])
-    grid = WignerGrid(
-        x_min=float(xs[0]), x_max=float(xs[-1]), p_min=float(ps[0]), p_max=float(ps[-1]),
-        step=args.grid_step, values=values,
-    )
-    if args.backend == "oracle" and not grid.within_bounds():
-        raise SpacsimError("oracle Wigner values violate the 2/pi bound; numerical failure")
+    route = ROUTES[args.backend]
+    values = route.wigner(params, xs, ps)
+    grid = WignerGrid(float(xs[0]), float(xs[-1]), float(ps[0]), float(ps[-1]), args.grid_step, values)
+    if route.bounded and not grid.within_bounds():
+        raise SpacsimError(f"{args.backend} Wigner values violate the 2/pi bound; numerical failure")
     return Output(list(zip(("x", "p", "w"), grid.columns())))
 
 

@@ -9,14 +9,13 @@ moments and to the printed closed forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import MomentSet, PointerColumns, column_moments, column_sum, pointer_column
+from .errors import TruncationTooSmall
+from .fock import MomentSet, PointerColumns, column_moments, column_sum
 from .params import ExperimentParams, point_columns
-from .printed import evaluate_points, printed_moment_columns
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,7 @@ def min_variances(m: MomentSet) -> tuple[float, float]:
 
 
 def report_from_moments(m: MomentSet, fidelity_to_initial: float) -> SqueezingReport:
-    var_x, var_y = min_variances(m)
-    return SqueezingReport(
-        s_os=s_os(m),
-        s_ass=s_ass(m),
-        var_x_min=var_x,
-        var_y_min=var_y,
-        n_mean=m.n_mean,
-        fidelity_to_initial=fidelity_to_initial,
-    )
+    return SqueezingReport(s_os(m), s_ass(m), *min_variances(m), m.n_mean, fidelity_to_initial)
 
 
 def column_report(cols: PointerColumns) -> SqueezingReport:
@@ -74,31 +65,11 @@ def column_report(cols: PointerColumns) -> SqueezingReport:
     return report_from_moments(column_moments(cols.final), fid)
 
 
-def printed_column_report(alpha, s, w, point) -> SqueezingReport:
-    """Reports of the printed closed forms over columns of points, one array entry per point.
-
-    The printed forms give no fidelity, reported as NaN.  Moments and
-    witnesses are evaluated through :func:`~spacsim.printed.evaluate_points`,
-    so a failure names ``point(j)`` of the first failing point.
-    """
-
-    def report(alpha, s, w):
-        return report_from_moments(printed_moment_columns(alpha, s, w), np.full(alpha.shape, math.nan))
-
-    return evaluate_points("printed_moments", report, point, alpha, s, w)
-
-
 def point_report(params: ExperimentParams, backend: str = "oracle") -> SqueezingReport:
-    """Full squeezing report for one parameter point.
+    """One point's report, its route's column report at one entry; a failed tail check raises TruncationTooSmall."""
+    from .sweeps import route  # sweeps imports this module
 
-    The oracle backend builds the conditioned pointer state and measures
-    it; the printed backend evaluates the published closed forms.  Both
-    are their column forms at one entry.
-    """
-    if backend == "oracle":
-        batch = column_report(pointer_column(params))
-    elif backend == "printed":
-        batch = printed_column_report(*point_columns(params), lambda j: params)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    batch, errors = route(backend).report(*point_columns(params), params.trunc, lambda j: params)
+    if errors[0]:
+        raise TruncationTooSmall(errors[0])
     return SqueezingReport(*(field.item() for field in vars(batch).values()))

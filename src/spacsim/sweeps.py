@@ -1,26 +1,28 @@
-"""Parameter sweeps behind every figure series.
+"""Parameter sweeps behind every figure series, and the route table.
 
 A sweep walks one scenario parameter (coupling s or amplitude r)
 across a uniform grid for several postselection angles and collects a
 squeezing report per point.  Rows are emitted in a fixed order
 (angle outer, swept parameter inner).
 
+:data:`ROUTES` alone chooses a route's behaviour (``--backend``): its
+column report, its Wigner grid and whether the 2/pi bound is checked.
 :func:`report_columns` evaluates 1-D columns of valid points in any
-order, one array per report field, in input order.  The oracle backend
-builds the states through :func:`pointer_blocks`, the one walk that
-every oracle consumer (the audit too) takes over a point set: runs of
-one truncation in input order, each grouped by (alpha, s) in order of
-first appearance (on a figure grid: value by value, each value's
-angles side by side), in consecutive blocks that
+order, one array per report field, in input order.  The oracle builds
+the states through :func:`pointer_blocks`, the one walk that every
+oracle consumer (the audit too) takes over a point set: runs of one
+truncation in input order, each grouped by (alpha, s) in order of first
+appearance (on a figure grid: value by value, each value's angles side
+by side), in consecutive blocks that
 :func:`~spacsim.fock.pointer_columns` builds, the displaced branches
-once per pair for all its angles.  A point whose state fails
-the truncation tail check becomes a row error marker while the
-evaluation carries on; any other error propagates.  The printed
-backend evaluates the closed forms over all points at once; if one
-fails, the error names the first failing point.  :func:`sweep_columns`
-checks a figure grid's fields and lays it out for one call;
-:func:`sweep_s`, :func:`sweep_r` and :func:`fidelity_table` turn the
-columns into :class:`SweepRow` objects.
+once per pair for all its angles.  A point whose state fails the
+truncation tail check becomes a row error marker while the evaluation
+carries on; any other error propagates.  The printed route evaluates the
+closed forms over all points at once; if one fails, the error names the
+first failing point.  :func:`sweep_columns` checks a figure grid's
+fields and lays it out for one call; :func:`sweep_s`, :func:`sweep_r`
+and :func:`fidelity_table` turn the columns into :class:`SweepRow`
+objects.
 """
 
 from __future__ import annotations
@@ -28,14 +30,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .fock import PointerColumns, pointer_columns, row_keys
+from .fock import PointerColumns, final_pointer_state, pointer_columns, row_keys
 from .params import ExperimentParams, check_fields, check_points, validate, weak_value
-from .squeezing import SqueezingReport, column_report, printed_column_report
+from .printed import evaluate_points, printed_moment_columns, printed_wigner_values
+from .squeezing import SqueezingReport, column_report, report_from_moments
+from .wigner import check_grid_elements, wigner_grid_values
 
 #: Default grid step for both sweep kinds; smooth curves at O(N) cost per point.
 DEFAULT_STEP = 0.02
@@ -141,27 +145,61 @@ def pointer_blocks(alpha, s, w, trunc: int | np.ndarray) -> Iterator[tuple[np.nd
             yield block, pointer_columns(alpha[block], s[block], w[block], run_trunc)
 
 
-def report_columns(alpha, s, w, trunc: int, backend: str, point) -> tuple[SqueezingReport, tuple[str, ...]]:
-    """Reports and row errors of 1-D columns of valid points in any order, both in input order.
-
-    The oracle builds the states in the order of :func:`pointer_blocks`
-    and takes each block's reports in one call; a row error is prefixed
-    ``TruncationTooSmall: ``.  The printed backend evaluates every point
-    at once, and a failure names ``point(j)`` of the first failing
-    point.
-    """
-    if backend == "printed":
-        return printed_column_report(alpha, s, w, point), ("",) * alpha.size
-    if backend != "oracle":
-        raise ValueError(f"unknown backend {backend!r}")
+def _oracle_report(alpha, s, w, trunc: int, point) -> tuple[SqueezingReport, list[str]]:
+    """The states built in the order of :func:`pointer_blocks`, each block's reports in one call."""
     report = SqueezingReport(*(np.empty(alpha.size) for _ in fields(SqueezingReport)))
     errors = [""] * alpha.size
     for block, cols in pointer_blocks(alpha, s, w, trunc):
         for name, column in vars(column_report(cols)).items():
             getattr(report, name)[block] = column
         for row, e in zip(block.tolist(), cols.errors):
-            errors[row] = f"{TruncationTooSmall.__name__}: {e}" if e else ""
-    return report, tuple(errors)
+            errors[row] = e
+    return report, errors
+
+
+def _printed_report(alpha, s, w, trunc: int, point) -> tuple[SqueezingReport, tuple[str, ...]]:
+    """The closed forms at every point at once, with NaN fidelity; a failure names ``point(j)`` of the first failing point."""
+
+    def report(alpha, s, w):
+        return report_from_moments(printed_moment_columns(alpha, s, w), np.full(alpha.shape, math.nan))
+
+    return evaluate_points("printed_moments", report, point, alpha, s, w), ("",) * alpha.size
+
+
+def _oracle_wigner(params: ExperimentParams, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    return wigner_grid_values(final_pointer_state(params), xs, ps)
+
+
+def _printed_wigner(params: ExperimentParams, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    check_grid_elements(xs.size * ps.size)
+    return printed_wigner_values(params, xs[:, None] + 1j * ps[None, :])
+
+
+class Route(NamedTuple):
+    """One route; its functions reach what they call through module globals, which the benchmark's tracing rebinds."""
+
+    report: Callable  # (alpha, s, w, trunc, point) -> (report of arrays, raw tail-check error per point, "" where none)
+    wigner: Callable  # (params, xs, ps) -> Wigner values, entry (i, j) at xs[i] + 1j*ps[j]
+    bounded: bool  # whether the Wigner values are checked against the 2/pi bound
+
+
+#: Every route by ``--backend`` name, in the order of the parser's choices.
+ROUTES = {"oracle": Route(_oracle_report, _oracle_wigner, True), "printed": Route(_printed_report, _printed_wigner, False)}
+
+
+def route(backend: str) -> Route:
+    if backend not in ROUTES:
+        raise ValueError(f"unknown backend {backend!r}")
+    return ROUTES[backend]
+
+
+def report_columns(alpha, s, w, trunc: int, backend: str, point) -> tuple[SqueezingReport, tuple[str, ...]]:
+    """Reports and row errors of 1-D columns of valid points in any order, both in input order.
+
+    The route ``backend`` evaluates them; a row error is prefixed ``TruncationTooSmall: ``.
+    """
+    report, errors = route(backend).report(alpha, s, w, trunc, point)
+    return report, tuple(f"{TruncationTooSmall.__name__}: {e}" if e else "" for e in errors)
 
 
 def _checked_axes(base: ExperimentParams, swept: str, values, phis) -> tuple[np.ndarray, np.ndarray]:

@@ -217,12 +217,12 @@ class TestExitCodes:
     def test_eigh_failure_is_numerical_failure(self, monkeypatch, capsys):
         # the point path no longer diagonalises; a LinAlgError raised on it
         # (a ValueError subclass) must still exit 3, not 2
-        import spacsim.squeezing
+        import spacsim.sweeps
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-        monkeypatch.setattr(spacsim.squeezing, "pointer_column", failing)
+        monkeypatch.setattr(spacsim.sweeps, "pointer_columns", failing)
         assert run("point", "--s", "0.5") == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -728,9 +728,9 @@ class TestRangeErrors:
 
 def test_oracle_wigner_values_beyond_the_bound_are_a_numerical_failure(monkeypatch, tmp_path, capsys):
     """Oracle values above 2/pi exit 3, naming the bound, and leave no CSV or manifest behind."""
-    import spacsim.cli
+    import spacsim.sweeps
 
-    monkeypatch.setattr(spacsim.cli, "wigner_grid_values", lambda state, xs, ps: np.full((xs.size, ps.size), 0.7))
+    monkeypatch.setattr(spacsim.sweeps, "wigner_grid_values", lambda state, xs, ps: np.full((xs.size, ps.size), 0.7))
     out = tmp_path / "never.csv"
     assert run("wigner", "--grid-step", "0.5", "--out", str(out)) == 3
     assert capsys.readouterr().err == (

@@ -12,6 +12,7 @@ unknown quantities), ``point``, an ``--out`` that is an existing
 directory, and ``rerun`` of hand-made manifests.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -24,7 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spacsim.audit import ALL_QUANTITIES
-from spacsim.cli import main
+from spacsim.cli import COMMANDS, build_parser, main
+from spacsim.sweeps import ROUTES
 
 SPECIAL = (float("nan"), float("inf"), float("-inf"), -1.0, -0.0, 0.0, 1e300, -1e300, 1e-300)
 
@@ -61,8 +63,19 @@ def scenario_flags(draw) -> list[str]:
             argv.append(f"--{flag}={draw(value(lo, hi))!r}")
     trunc = rarely(st.sampled_from(["5", "0", "-1", str(2**20 + 1), "1e300", "nan"]), st.integers(6, 48).map(str))
     argv.append(f"--trunc={draw(trunc)}")
-    argv.append(f"--backend={draw(st.sampled_from(['oracle', 'printed']))}")
+    argv.append(f"--backend={draw(st.sampled_from(list(ROUTES)))}")
     return argv
+
+
+def test_every_command_offers_the_route_table_as_backend_choices():
+    (commands,) = (action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    offered = {
+        name: action.choices
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        if action.dest == "backend"
+    }
+    assert offered == {name: tuple(ROUTES) for name in COMMANDS}
 
 
 @st.composite

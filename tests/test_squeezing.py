@@ -24,7 +24,7 @@ from spacsim.fock import (
     pointer_columns,
     spacs,
 )
-from spacsim.params import FIGURE_PRESET, weak_value
+from spacsim.params import FIGURE_PRESET, point_columns, weak_value
 from spacsim.printed import printed_moments
 from spacsim.squeezing import column_report, min_variances, point_report, report_from_moments, s_ass, s_os
 from spacsim.sweeps import (
@@ -465,3 +465,39 @@ class TestReportColumns:
             assert np.all(fid <= 1.0)
             assert np.all(fid[sweep.s == 0] == 1.0)
         assert np.count_nonzero(sweeps[0].s == 0) == len(DEFAULT_PHIS)
+
+
+def report_bits(report) -> np.ndarray:
+    """The report's fields as raw 64-bit patterns, so NaN compares equal to itself."""
+    return np.array([getattr(report, name) for name in REPORT_FIELDS], dtype=np.float64).ravel().view(np.uint64)
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("name", list(spacsim.sweeps.ROUTES))
+    @pytest.mark.parametrize(
+        "p",
+        [FIGURE_PRESET, FIGURE_PRESET.with_(r=2.5, s=0.0, phi=0.3), FIGURE_PRESET.with_(r=0.7, s=3.1, theta=5.9, delta=1.1, trunc=256)],
+        ids=["preset", "zero-coupling", "other-angles"],
+    )
+    def test_point_report_is_row_zero_of_its_route_columns(self, name, p):
+        report, errors = report_columns(*point_columns(p), p.trunc, name, lambda j: p)
+        assert errors == ("",)
+        assert np.array_equal(report_bits(point_report(p, name)), report_bits(report))
+
+    def test_point_report_raises_the_raw_tail_check_message(self):
+        p = FIGURE_PRESET.with_(r=40)
+        with pytest.raises(TruncationTooSmall) as info:
+            point_report(p)
+        reason = pointer_columns(*point_columns(p), p.trunc).errors[0]
+        assert reason and str(info.value) == reason
+
+    def test_a_new_entry_is_reachable_with_no_other_edit(self, monkeypatch):
+        monkeypatch.setitem(spacsim.sweeps.ROUTES, "copy", spacsim.sweeps.ROUTES["printed"])
+        columns = point_columns(FIGURE_PRESET)
+        copied = report_columns(*columns, FIGURE_PRESET.trunc, "copy", str)
+        assert np.array_equal(report_bits(copied[0]), report_bits(report_columns(*columns, FIGURE_PRESET.trunc, "printed", str)[0]))
+        assert np.array_equal(report_bits(point_report(FIGURE_PRESET, "copy")), report_bits(point_report(FIGURE_PRESET, "printed")))
+        values = grid_values(0.0, 1.0, 0.25)
+        sweeps = [sweep_columns(FIGURE_PRESET, "s", values, DEFAULT_PHIS, backend) for backend in ("copy", "printed")]
+        assert np.array_equal(report_bits(sweeps[0].report), report_bits(sweeps[1].report))
+        assert sweeps[0].errors == sweeps[1].errors

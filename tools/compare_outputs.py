@@ -148,6 +148,8 @@ def cases() -> list[tuple[list[str], bool]]:
     printing.append(["fig1a", "--out", EXISTING_DIR])
     # oracle points: the preset, s = 0 (fidelity exactly 1), r = 40 (fails the tail check), r = s = 1e300 (|alpha|^2 overflows)
     printing += [["point"], ["point", "--s", "0"], ["point", "--r", "40"], ["point", "--r", "1e300", "--s", "1e300"]]
+    # routes that are not in the route table: the parser's exit 2 and its choices text
+    printing += [["point", "--backend", "exact"], ["wigner", "--backend", "exact"]]
     return [(argv, True) for argv in writing] + [(argv, False) for argv in printing]
 
 
