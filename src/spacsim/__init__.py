@@ -42,10 +42,10 @@ _HOMES = {
             "spacs",
         ),
         "io": ("WignerGrid",),
-        "params": ("FIGURE_PRESET", "ExperimentParams", "postselection_probability", "validate", "weak_value"),
+        "params": ("FIGURE_PRESET", "ExperimentParams", "grid_values", "postselection_probability", "validate", "weak_value"),
         "printed": ("PrintedMomentSet", "printed_kappa_sq", "printed_moments", "printed_wigner"),
         "squeezing": ("SqueezingReport", "min_variances", "point_report", "s_ass", "s_os"),
-        "sweeps": ("fidelity_table", "grid_values", "sweep_r", "sweep_s"),
+        "sweeps": ("fidelity_table", "sweep_r", "sweep_s"),
         "wigner": (
             "CharacteristicFunctionGrid",
             "wigner_grid_values",

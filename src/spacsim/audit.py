@@ -31,10 +31,10 @@ import numpy as np
 
 from .errors import RangeError, TruncationTooSmall
 from .fock import column_moments, column_state
-from .params import FIGURE_PRESET, ExperimentParams, check_points, point_columns
+from .params import FIGURE_PRESET, ExperimentParams, check_grid_elements, check_points, grid_values, point_columns
 from .printed import evaluate_points, printed_kappa_sq_columns, printed_moment_columns, printed_wigner_values
-from .sweeps import grid_values, pointer_blocks
-from .wigner import check_grid_elements, wigner_grid_values
+from .sweeps import pointer_blocks
+from .wigner import wigner_grid_values
 
 MOMENT_QUANTITIES = ("n_mean", "m_a", "m_a2", "m_a2d2", "m_a4")
 ALL_QUANTITIES = MOMENT_QUANTITIES + ("kappa_sq", "wigner")
@@ -123,10 +123,9 @@ def default_audit_grid(
 ) -> list[ExperimentParams]:
     """Cartesian parameter grid with the figure-preset angles.
 
-    Raises ValueError, before building it, when the grid has more points
-    than :data:`~spacsim.params.MAX_GRID_ELEMENTS`; the cap bounds the
-    memory, which at the cap is still several GB, but does not make it
-    small.
+    Raises ValueError (:func:`~spacsim.params.check_points`), before
+    building it, when the grid has more points than
+    :data:`~spacsim.params.MAX_GRID_ELEMENTS`.
     """
     check_points("an audit grid", len(r_values), len(s_values))
     return [base.with_(r=float(r), s=float(s)) for r in r_values for s in s_values]

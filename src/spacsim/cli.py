@@ -56,9 +56,9 @@ from .audit import (
 )
 from .errors import RangeError, SpacsimError
 from .io import WignerGrid, load_manifest, manifest_argv, write_columns, write_manifest
-from .params import DEFAULT_TRUNC, FIGURE_PRESET, ExperimentParams, check_fields, validate
+from .params import DEFAULT_TRUNC, FIGURE_PRESET, ExperimentParams, check_fields, grid_values, validate
 from .squeezing import point_report
-from .sweeps import DEFAULT_PHIS, DEFAULT_STEP, FIDELITY_COUPLINGS, ROUTES, SweepColumns, fidelity_columns, grid_values, sweep_columns
+from .sweeps import DEFAULT_PHIS, DEFAULT_STEP, FIDELITY_COUPLINGS, ROUTES, SweepColumns, fidelity_columns, sweep_columns
 
 #: Each report field a sweep writes, in column order, and its CSV column name; only the fidelity is renamed.
 REPORT_COLUMNS = {field: field for field in ("s_os", "s_ass", "var_x_min", "var_y_min", "n_mean")} | {"fidelity_to_initial": "fidelity"}

@@ -18,17 +18,19 @@ parameter points at once, one column per point.  Coherent amplitudes
 are built in log space, so no intermediate overflows at any amplitude.
 
 :func:`displaced_columns` applies the truncated displacement unitary,
-obtained by diagonalising its generator once per dimension, for a
-batch of amplitudes, and :func:`displace` for one.  It is the generic
-reference the exact construction is tested against, and the
-displaced-parity Wigner route uses it.
+obtained by diagonalising its generator once per dimension (the
+factors kept within :data:`BASIS_CACHE_BYTES`), for a batch of
+amplitudes, and :func:`displace` for one.  It is the generic reference
+the exact construction is tested against, and the displaced-parity
+Wigner route uses it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,10 @@ from .params import MAX_GRID_ELEMENTS, TAIL_LEVELS, ExperimentParams, point_colu
 #: Maximum tolerated tail share: the fraction of a constructed state's
 #: squared norm in its top TAIL_LEVELS levels.
 TAIL_THRESHOLD = 1e-10
+
+#: Most bytes of eigenvector matrices that :func:`_displacement_basis` keeps:
+#: 16 of dimension 1024, or one of dimension 4096, the largest it builds.
+BASIS_CACHE_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,43 @@ def pad(state: FockVector, dim: int) -> FockVector:
     return column_state(amps)
 
 
-@lru_cache(maxsize=16)
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    currsize: int
+    nbytes: int  # of the eigenvector matrices kept
+
+
+def _byte_bounded(build: Callable[[int], tuple[np.ndarray, np.ndarray]]) -> Callable:
+    """``build`` memoised by dimension, least recently used first out while the kept eigenvector matrices exceed :data:`BASIS_CACHE_BYTES`.
+
+    The budget is read on every miss; a result larger than it is
+    returned but not kept.  ``cache_info()`` reports hits and misses as
+    :func:`functools.lru_cache` does, plus the bytes kept.
+    """
+    kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    counts = {"hits": 0, "misses": 0}
+
+    def nbytes() -> int:
+        return sum(evecs.nbytes for _, evecs in kept.values())
+
+    @wraps(build)
+    def cached(dim: int) -> tuple[np.ndarray, np.ndarray]:
+        if dim in kept:
+            counts["hits"] += 1
+            kept[dim] = kept.pop(dim)  # now the most recently used
+            return kept[dim]
+        counts["misses"] += 1
+        kept[dim] = result = build(dim)
+        while nbytes() > BASIS_CACHE_BYTES:
+            del kept[next(iter(kept))]
+        return result
+
+    cached.cache_info = lambda: _CacheInfo(counts["hits"], counts["misses"], len(kept), nbytes())
+    return cached
+
+
+@_byte_bounded
 def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition V, L of the Hermitian generator i(adag - a).
 

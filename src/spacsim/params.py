@@ -1,4 +1,4 @@
-"""Scenario parameters and the scalar quantities derived from them.
+"""Scenario parameters, the scalar quantities derived from them, and every input-size rule.
 
 A measurement scenario is fully described by the coherent amplitude
 ``alpha = r * exp(i*theta)``, the preselection angles ``(delta, phi)``,
@@ -6,7 +6,9 @@ the coupling ratio ``s`` (integrated coupling strength over pointer beam
 width) and the Fock truncation dimension.  The two-level system never
 appears explicitly anywhere else: postselecting on the horizontal
 polarisation reduces it to the complex weak value and the success
-probability computed here.
+probability computed here.  Every rule that refuses a command-line
+input before allocating lives here too: the field checks,
+:func:`grid_values`, :func:`check_points` and :func:`check_grid_elements`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ MAX_TRUNC = 2**20
 #: the default 201 x 201 panel needs about 4e4.  It bounds memory but
 #: does not make it small: a sweep at the cap takes several GB.
 MAX_GRID_ELEMENTS = 2**24
+
+#: Most points on one grid axis (:func:`grid_values`); the largest default has 201.
+MAX_GRID_POINTS = 2**16
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +108,42 @@ def check_points(what: str, *sizes: int) -> None:
     if count > MAX_GRID_ELEMENTS:
         sides = " x ".join(map(str, sizes))
         raise ValueError(f"{what} of {sides} = {count} points exceeds the cap of {MAX_GRID_ELEMENTS} points; use fewer values")
+
+
+def check_grid_elements(*counts: float) -> None:
+    """Raise ValueError, naming the size, if any count exceeds :data:`MAX_GRID_ELEMENTS`."""
+    largest = max(counts)
+    if not largest <= MAX_GRID_ELEMENTS:
+        raise ValueError(
+            f"the Wigner grid needs an array of at least {float(largest):.3g} elements, more than "
+            f"{MAX_GRID_ELEMENTS}; use a coarser grid step or a smaller range"
+        )
+
+
+def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
+    """Uniform inclusive grid from lo to hi.
+
+    The count is derived from the step; hi must sit on the grid within
+    a small relative tolerance.  Raises ValueError, before allocating,
+    for a grid of more than :data:`MAX_GRID_POINTS` points, and for a
+    step so far below the ulp of the range that neighbouring points
+    round to the same double.
+    """
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"range [{lo}, {hi}] with step {step} is not finite")
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    if hi < lo:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    if not (hi - lo) / step <= MAX_GRID_POINTS - 1:  # also catches an infinite quotient
+        raise ValueError(f"range [{lo}, {hi}] with step {step} has more than {MAX_GRID_POINTS} points")
+    count = int(round((hi - lo) / step))
+    if abs(lo + count * step - hi) > step * 1e-6:
+        raise ValueError(f"range [{lo}, {hi}] is not a multiple of step {step}")
+    values = np.linspace(lo, hi, count + 1)
+    if not np.all(values[1:] > values[:-1]):
+        raise ValueError(f"range [{lo}, {hi}] with step {step} rounds neighbouring points to the same double")
+    return values
 
 
 def check_fields(

@@ -3,7 +3,8 @@
 A sweep walks one scenario parameter (coupling s or amplitude r)
 across a uniform grid for several postselection angles and collects a
 squeezing report per point.  Rows are emitted in a fixed order
-(angle outer, swept parameter inner).
+(angle outer, swept parameter inner).  The grids and their size rules
+come from :mod:`spacsim.params` (:func:`~spacsim.params.grid_values`).
 
 :data:`ROUTES` alone chooses a route's behaviour (``--backend``): its
 column report, its Wigner grid and whether the 2/pi bound is checked.
@@ -36,10 +37,10 @@ import numpy as np
 
 from .errors import TruncationTooSmall
 from .fock import PointerColumns, final_pointer_state, pointer_columns, row_keys
-from .params import ExperimentParams, check_fields, check_points, validate, weak_value
+from .params import ExperimentParams, check_fields, check_grid_elements, check_points, grid_values, validate, weak_value
 from .printed import evaluate_points, printed_moment_columns, printed_wigner_values
 from .squeezing import SqueezingReport, column_report, report_from_moments
-from .wigner import check_grid_elements, wigner_grid_values
+from .wigner import wigner_grid_values
 
 #: Default grid step for both sweep kinds; smooth curves at O(N) cost per point.
 DEFAULT_STEP = 0.02
@@ -49,11 +50,6 @@ DEFAULT_PHIS = (math.pi / 3, math.pi / 2, 2 * math.pi / 3, 7 * math.pi / 9)
 
 #: Coupling values of the fidelity-versus-amplitude figure.
 FIDELITY_COUPLINGS = (0.5, 1.0, 2.0, 3.0)
-
-#: Most points on one grid axis; the largest default axis has 201.  Checked
-#: before the count is converted to an int, so an overflowing range is
-#: rejected rather than allocated.
-MAX_GRID_POINTS = 2**16
 
 #: Complex amplitudes per array in one block of pointer columns; a block holds
 #: max(1, BLOCK_ELEMENTS // trunc) points, which bounds memory before allocating.
@@ -69,32 +65,6 @@ class SweepRow:
     s: float
     report: SqueezingReport
     error: str = ""
-
-
-def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
-    """Uniform inclusive grid from lo to hi.
-
-    The count is derived from the step; hi must sit on the grid within
-    a small relative tolerance.  Raises ValueError, before allocating,
-    for a grid of more than :data:`MAX_GRID_POINTS` points, and for a
-    step so far below the ulp of the range that neighbouring points
-    round to the same double.
-    """
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ValueError(f"range [{lo}, {hi}] with step {step} is not finite")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if hi < lo:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    if not (hi - lo) / step <= MAX_GRID_POINTS - 1:  # also catches an infinite quotient
-        raise ValueError(f"range [{lo}, {hi}] with step {step} has more than {MAX_GRID_POINTS} points")
-    count = int(round((hi - lo) / step))
-    if abs(lo + count * step - hi) > step * 1e-6:
-        raise ValueError(f"range [{lo}, {hi}] is not a multiple of step {step}")
-    values = np.linspace(lo, hi, count + 1)
-    if not np.all(values[1:] > values[:-1]):
-        raise ValueError(f"range [{lo}, {hi}] with step {step} rounds neighbouring points to the same double")
-    return values
 
 
 @dataclass(frozen=True)
@@ -232,9 +202,8 @@ def sweep_columns(
     and angles (1, 4), phi = 4 raises
     :class:`~spacsim.errors.DegeneratePostselection` although the row
     (phi 1, r inf) comes first.  Last, a grid of more rows than
-    :data:`~spacsim.params.MAX_GRID_ELEMENTS` raises ValueError before
-    anything is allocated; the cap bounds the memory, which at the cap
-    is still several GB, but does not make it small.
+    :data:`~spacsim.params.MAX_GRID_ELEMENTS` raises ValueError
+    (:func:`~spacsim.params.check_points`) before anything is allocated.
     """
     values, phis = _checked_axes(base, swept, values, phis)
     check_points("a sweep", phis.size, values.size)
@@ -283,8 +252,7 @@ def fidelity_columns(
     before any is evaluated, so invalid input is named before a
     numerical failure.  Then a table of more rows (couplings x r values)
     than :data:`~spacsim.params.MAX_GRID_ELEMENTS` raises ValueError
-    before anything is allocated; the cap bounds the memory, which at
-    the cap is still several GB, but does not make it small.
+    (:func:`~spacsim.params.check_points`) before anything is allocated.
     """
     for s in couplings:
         _checked_axes(base.with_(s=s), "r", r_values, (base.phi,))

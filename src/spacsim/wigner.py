@@ -41,7 +41,8 @@ The Hermite recurrence of the grid route and the Laguerre recurrence of
 the characteristic function run in one per-point scaled frame
 (:func:`_scaled_sum`), which keeps them from underflowing or
 overflowing, and share one far-point rule: |u| and |lambda| are clipped
-to :data:`_FAR`, where every term is 0, so far points give 0.
+to :data:`_FAR`, where every term is 0, so far points give 0.  Every
+grid array is sized first by :func:`spacsim.params.check_grid_elements`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 from ._parallel import run_ordered
 from .errors import TruncationTooSmall
 from .fock import TAIL_LEVELS, TAIL_THRESHOLD, FockVector, displaced_columns, pad
-from .params import MAX_GRID_ELEMENTS
+from .params import MAX_GRID_ELEMENTS, check_grid_elements
 
 #: Points per batch of the parity and characteristic-function routes; bounds memory.
 CHUNK = 4096
@@ -149,16 +150,6 @@ def wigner_values(state: FockVector, zs: np.ndarray) -> np.ndarray:
     zs = np.asarray(zs, dtype=np.complex128)
     flat = _parity_values(state, -zs.ravel())
     return flat.reshape(zs.shape)
-
-
-def check_grid_elements(*counts: float) -> None:
-    """Raise ValueError, naming the size, if any count exceeds :data:`MAX_GRID_ELEMENTS`."""
-    largest = max(counts)
-    if not largest <= MAX_GRID_ELEMENTS:
-        raise ValueError(
-            f"the Wigner grid needs an array of at least {float(largest):.3g} elements, more than "
-            f"{MAX_GRID_ELEMENTS}; use a coarser grid step or a smaller range"
-        )
 
 
 def _scaled_sum(coef: np.ndarray, log_scale: np.ndarray, log_bound: float, step: Callable) -> tuple[np.ndarray, np.ndarray]:

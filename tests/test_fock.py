@@ -120,6 +120,19 @@ class TestDisplace:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_the_eigh_cache_keeps_within_its_byte_budget(self, monkeypatch):
+        assert 16 * 1024 * 1024 * 16 <= fock.BASIS_CACHE_BYTES  # the default keeps 16 matrices of dimension 1024
+        # eigenvector matrices of 25,600, 50,176 and 82,944 bytes: the budget holds the last alone
+        monkeypatch.setattr(fock, "BASIS_CACHE_BYTES", 100_000)
+        for dim in (40, 56, 72):
+            fock._displacement_basis(dim)
+        info = fock._displacement_basis.cache_info()
+        assert info.nbytes <= 100_000
+        assert (info.currsize, info.nbytes) == (1, 72 * 72 * 16)
+        fock._displacement_basis(72)
+        after = fock._displacement_basis.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+
 
 class TestFinalPointerState:
     def test_reduces_to_initial_at_zero_coupling(self):

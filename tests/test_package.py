@@ -28,6 +28,21 @@ def test_a_bare_import_loads_no_numpy_and_sets_nothing():
     assert json.loads(done.stdout) == {"numpy": False, "env": None, "fock": True}
 
 
+_IO_IMPORT = """
+import json, sys
+import spacsim.io
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "spacsim")))
+"""
+
+
+def test_the_csv_layer_loads_only_the_formatter_and_the_size_rules():
+    env = dict(os.environ, PYTHONPATH=str(Path(spacsim.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _IO_IMPORT], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["spacsim", "spacsim._shortest", "spacsim.errors", "spacsim.io", "spacsim.params"]
+    assert spacsim.grid_values is spacsim.params.grid_values is spacsim.sweeps.grid_values
+
+
 def test_every_public_name_is_the_object_of_its_home_module():
     for name in spacsim.__all__:
         home = importlib.import_module(f"spacsim.{spacsim._HOMES[name]}")

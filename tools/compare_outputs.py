@@ -32,6 +32,13 @@ EXISTING_DIR = "existing-dir"
 #: What separates the fields of a CSV line and of the ``name=value`` lines on stdout.
 FIELD_SEPARATOR = re.compile(rb"[,=\s]+")
 COMMANDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3", "wigner", "audit", "point", "rerun")
+#: Most values of a comma-separated argument that a report line shows in full.
+SHOWN_VALUES = 8
+
+
+def _spaced(count: int, denominator: int) -> str:
+    """``count`` comma-separated values k / denominator, k = 0, 1, ..."""
+    return ",".join(str(k / denominator) for k in range(count))
 
 
 def _benchmark_argvs() -> list[list[str]]:
@@ -137,6 +144,15 @@ def cases() -> list[tuple[list[str], bool]]:
         ["audit", "--s-values=", "--quantities", "m_a"],
         ["fig1a", "--phis="],
         ["fig3", "--s-values="],
+        # one refusal per size rule, each before anything is allocated: a sweep of 257 x 65,536 rows,
+        # a fidelity table of 257 x 65,536 rows, an audit grid of 4,097 x 4,097 points, a Wigner
+        # array of 64,001 x 64,001 elements on each route, and audit Wigner arrays of 30 x 6,001^2
+        ["fig1a", "--phis", _spaced(257, 100), "--s-step", "6.103608758678569e-05"],
+        ["fig3", "--s-values", _spaced(257, 100), "--r-step", "4.5777065690089265e-05"],
+        ["audit", "--r-values", _spaced(4097, 1000), "--s-values", _spaced(4097, 1000)],
+        ["wigner", "--grid-step", "0.000125"],
+        ["wigner", "--backend", "printed", "--grid-step", "0.000125"],
+        ["audit", "--wigner-step", "0.001"],
     ]
     # the help and version texts
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
@@ -151,6 +167,15 @@ def cases() -> list[tuple[list[str], bool]]:
     # routes that are not in the route table: the parser's exit 2 and its choices text
     printing += [["point", "--backend", "exact"], ["wigner", "--backend", "exact"]]
     return [(argv, True) for argv in writing] + [(argv, False) for argv in printing]
+
+
+def _shown(argv: list[str]) -> str:
+    """The command line as a report line gives it: a list of more than SHOWN_VALUES values by its ends and length."""
+    words = []
+    for word in argv:
+        values = word.split(",")
+        words.append(f"{values[0]},...,{values[-1]} ({len(values)} values)" if len(values) > SHOWN_VALUES else word)
+    return " ".join(words) or "(no arguments)"
 
 
 def run_tree(src: Path, workdir: Path) -> list[dict]:
@@ -170,7 +195,7 @@ def run_tree(src: Path, workdir: Path) -> list[dict]:
         if meta:
             meta = {key: value for key, value in meta.items() if key not in ("created", "out")}
         records.append({
-            "argv": " ".join(argv) or "(no arguments)",
+            "argv": _shown(argv),
             "exit": done.returncode,
             "stdout": done.stdout,
             "stderr": done.stderr,
