@@ -182,10 +182,12 @@ def _raised(amps: np.ndarray) -> np.ndarray:
 
 
 def coherent(alpha: complex, dim: int) -> FockVector:
-    """Coherent state with amplitude ``alpha``; finite for any amplitude and dimension."""
+    """Coherent state with amplitude ``alpha``; finite for any finite amplitude and dimension, ValueError otherwise."""
     if dim < 2:
         raise ValueError(f"coherent state needs dim >= 2, got {dim}")
     alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
     return _as_state(_coherent_columns(np.array([alpha]), dim)[:, 0], f"coherent({alpha})")
 
 
@@ -300,10 +302,12 @@ def displace(beta: complex, state: FockVector) -> FockVector:
 
     beta = 0 returns the input unchanged.  The output is renormalised,
     which absorbs the eigendecomposition's small unitarity drift.
-    Raises TruncationTooSmall if the displaced state reaches the
-    truncation boundary.
+    Raises ValueError for a non-finite ``beta``, and TruncationTooSmall
+    if the displaced state reaches the truncation boundary.
     """
     beta = complex(beta)
+    if not np.isfinite(beta):
+        raise ValueError(f"displacement must be finite, got {beta}")
     if beta == 0:
         return state
     return _as_state(displaced_columns(state, np.array([beta]))[:, 0], f"displace({beta})")

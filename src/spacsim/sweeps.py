@@ -1,10 +1,14 @@
-"""Parameter sweeps behind every figure series, and the route table.
+"""Parameter sweeps behind every figure table, and the route table.
 
-A sweep walks one scenario parameter (coupling s or amplitude r)
-across a uniform grid for several postselection angles and collects a
-squeezing report per point.  Rows are emitted in a fixed order
-(angle outer, swept parameter inner).  The grids and their size rules
-come from :mod:`spacsim.params` (:func:`~spacsim.params.grid_values`).
+Every figure table is a family of curves: fig1a-fig2b sweep the
+coupling s or the amplitude r with one curve per postselection angle,
+fig3 sweeps r with one curve per coupling.  One private layout lays a
+family out (curve value outer, swept value inner), checks its fields
+once and evaluates all its rows in one :func:`report_columns` call;
+:func:`sweep_columns` and :func:`fidelity_columns` are its two shapes,
+and :func:`sweep_s`, :func:`sweep_r` and :func:`fidelity_table` turn
+their columns into :class:`SweepRow` objects.  The grids and their size
+rules come from :mod:`spacsim.params`.
 
 :data:`ROUTES` alone chooses a route's behaviour (``--backend``): its
 column report, its Wigner grid and whether the 2/pi bound is checked.
@@ -13,17 +17,13 @@ order, one array per report field, in input order.  The oracle builds
 the states through :func:`pointer_blocks`, the one walk that every
 oracle consumer (the audit too) takes over a point set: runs of one
 truncation in input order, each grouped by (alpha, s) in order of first
-appearance (on a figure grid: value by value, each value's angles side
-by side), in consecutive blocks that
+appearance, in consecutive blocks that
 :func:`~spacsim.fock.pointer_columns` builds, the displaced branches
 once per pair for all its angles.  A point whose state fails the
 truncation tail check becomes a row error marker while the evaluation
 carries on; any other error propagates.  The printed route evaluates the
 closed forms over all points at once; if one fails, the error names the
-first failing point.  :func:`sweep_columns` checks a figure grid's
-fields and lays it out for one call; :func:`sweep_s`, :func:`sweep_r`
-and :func:`fidelity_table` turn the columns into :class:`SweepRow`
-objects.
+first failing point.
 """
 
 from __future__ import annotations
@@ -172,53 +172,49 @@ def report_columns(alpha, s, w, trunc: int, backend: str, point) -> tuple[Squeez
     return report, tuple(f"{TruncationTooSmall.__name__}: {e}" if e else "" for e in errors)
 
 
-def _checked_axes(base: ExperimentParams, swept: str, values, phis) -> tuple[np.ndarray, np.ndarray]:
-    """The swept values and the angles as float arrays, after :func:`sweep_columns`' field checks."""
-    if swept not in ("r", "s"):
-        raise ValueError(f"cannot sweep {swept!r}; sweep 'r' or 's'")
+def _curve_family(base: ExperimentParams, curve: str, curves, swept: str, values, what: str, backend: str) -> SweepColumns:
+    """One curve per value of field ``curve``, each sweeping field ``swept`` over ``values``, all rows in one call.
+
+    Rows run curve value outer, swept value inner; other fields come from
+    ``base``.  The swept field (r or s) need only be finite and >= 0, so
+    no row is checked on its own.  The checks run in this order, the
+    first that fails raising what :func:`validate` raises: ``base``; each
+    curve value with the smallest swept value, in :func:`check_fields`'
+    field order; the smallest swept value, then the largest.  With
+    ascending values and valid curve values, that names the first invalid
+    row.  Otherwise a later row can be named: with r values (0, 1, inf)
+    and angles (1, 4), phi = 4 raises :class:`~spacsim.errors.DegeneratePostselection`
+    although the row (phi 1, r inf) comes first.  Last, more rows than
+    :data:`~spacsim.params.MAX_GRID_ELEMENTS` raise ValueError naming
+    ``what`` (:func:`~spacsim.params.check_points`) before anything is allocated.
+    """
     validate(base)
-    values = np.asarray(values, dtype=np.float64)
-    phis = np.asarray(phis, dtype=np.float64)
+    curves, values = np.asarray(curves, dtype=np.float64), np.asarray(values, dtype=np.float64)
     lo, hi = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
-    for phi in phis.tolist():
-        check_fields(phi=phi, **{swept: lo})
-    check_fields(**{swept: hi})
-    return values, phis
+    for value in curves.tolist():
+        check_fields(**{curve: value, swept: lo})
+    for value in (lo, hi):
+        check_fields(**{swept: value})
+    check_points(what, curves.size, values.size)
+    per_curve = {name: curves if name == curve else np.full(curves.size, float(getattr(base, name))) for name in ("phi", "r", "s")}
+    per_row = {name: np.tile(values, curves.size) if name == swept else np.repeat(v, values.size) for name, v in per_curve.items()}
+    alpha = per_row["r"] * cmath.exp(1j * base.theta)  # as ExperimentParams.alpha, bit for bit
+    w = np.repeat(np.array([weak_value(base.delta, angle) for angle in per_curve["phi"].tolist()], dtype=np.complex128), values.size)
+    report, errors = report_columns(
+        alpha, per_row["s"], w, base.trunc, backend, lambda j: base.with_(**{name: per_row[name][j].item() for name in (curve, swept)})
+    )
+    return SweepColumns(**per_row, report=report, errors=errors)
 
 
-def sweep_columns(
-    base: ExperimentParams, swept: str, values, phis: tuple[float, ...], backend: str = "oracle"
-) -> SweepColumns:
+def sweep_columns(base: ExperimentParams, swept: str, values, phis: tuple[float, ...], backend: str = "oracle") -> SweepColumns:
     """Sweep field ``swept`` ("r" or "s") of ``base`` over ``values`` for each angle in ``phis``.
 
-    Rows run angle outer, swept value inner; every other field comes
-    from ``base``.  Both swept fields need only be finite and >= 0, so
-    no row is checked on its own.  The checks run in this order, and the
-    first that fails raises what :func:`validate` raises: ``base``; each
-    angle in turn with the smallest swept value, in :func:`check_fields`'
-    field order; then the largest swept value.  When the values ascend
-    and every angle is valid, that is the error of the first invalid
-    row.  Otherwise a later row can be named: with r values (0, 1, inf)
-    and angles (1, 4), phi = 4 raises
-    :class:`~spacsim.errors.DegeneratePostselection` although the row
-    (phi 1, r inf) comes first.  Last, a grid of more rows than
-    :data:`~spacsim.params.MAX_GRID_ELEMENTS` raises ValueError
-    (:func:`~spacsim.params.check_points`) before anything is allocated.
+    One curve per angle, laid out, checked and evaluated by
+    :func:`_curve_family`, whose docstring gives the order of the checks.
     """
-    values, phis = _checked_axes(base, swept, values, phis)
-    check_points("a sweep", phis.size, values.size)
-
-    n = phis.size * values.size
-    phi = np.repeat(phis, values.size)
-    r = np.tile(values, phis.size) if swept == "r" else np.full(n, float(base.r))
-    s = np.tile(values, phis.size) if swept == "s" else np.full(n, float(base.s))
-    alpha = r * cmath.exp(1j * base.theta)  # as ExperimentParams.alpha, bit for bit
-    w = np.repeat(np.array([weak_value(base.delta, angle) for angle in phis.tolist()], dtype=np.complex128), values.size)
-    swept_values = r if swept == "r" else s
-    report, errors = report_columns(
-        alpha, s, w, base.trunc, backend, lambda j: base.with_(phi=phi[j].item(), **{swept: swept_values[j].item()})
-    )
-    return SweepColumns(phi=phi, r=r, s=s, report=report, errors=errors)
+    if swept not in ("r", "s"):
+        raise ValueError(f"cannot sweep {swept!r}; sweep 'r' or 's'")
+    return _curve_family(base, "phi", phis, swept, values, "a sweep", backend)
 
 
 def sweep_s(
@@ -248,16 +244,19 @@ def fidelity_columns(
 ) -> list[SweepColumns]:
     """One amplitude sweep per coupling, at the angle of ``base``, in coupling order.
 
-    Every coupling's sweep is checked as :func:`sweep_columns` checks it
-    before any is evaluated, so invalid input is named before a
-    numerical failure.  Then a table of more rows (couplings x r values)
-    than :data:`~spacsim.params.MAX_GRID_ELEMENTS` raises ValueError
-    (:func:`~spacsim.params.check_points`) before anything is allocated.
+    The couplings' curves are checked and evaluated as one table by
+    :func:`_curve_family` (its docstring gives the order of the checks),
+    so invalid input is named before a numerical failure; the table is
+    then cut into one :class:`SweepColumns` per coupling.
     """
-    for s in couplings:
-        _checked_axes(base.with_(s=s), "r", r_values, (base.phi,))
-    check_points("a fidelity table", len(couplings), np.size(r_values))
-    return [sweep_columns(base.with_(s=s), "r", r_values, (base.phi,), backend) for s in couplings]
+    table, n = _curve_family(base, "s", couplings, "r", r_values, "a fidelity table", backend), np.size(r_values)
+    return [
+        SweepColumns(
+            table.phi[rows], table.r[rows], table.s[rows],
+            SqueezingReport(*(column[rows] for column in vars(table.report).values())), table.errors[rows],
+        )
+        for rows in (slice(k * n, k * n + n) for k in range(len(couplings)))
+    ]
 
 
 def fidelity_table(

@@ -280,8 +280,8 @@ def _midpoint_axis(half_width: float, step: float) -> np.ndarray:
     """Midpoint-rule cell centres over [-half_width, half_width].
 
     Raises ValueError, before allocating, for a non-finite or non-positive
-    input, an axis with no cell, or a square grid over the axis above
-    :data:`MAX_GRID_ELEMENTS`.
+    input, an axis with no cell, a square grid over the axis above
+    :data:`MAX_GRID_ELEMENTS`, or a step that does not tile the axis.
     """
     if not (0 < half_width < math.inf and 0 < step < math.inf):
         raise ValueError(f"the half width and the step must be finite and positive, got {half_width!r} and {step!r}")
@@ -289,6 +289,8 @@ def _midpoint_axis(half_width: float, step: float) -> np.ndarray:
     if count == 0:
         raise ValueError(f"a step of {step!r} leaves no cell in [-{half_width!r}, {half_width!r}]")
     check_grid_elements(count**2)
+    if abs(count * step - 2.0 * half_width) > 1e-6 * step:  # an off-centre axis would break the lambda -> -lambda mirror
+        raise ValueError(f"a step of {step!r} does not tile [-{half_width!r}, {half_width!r}] into whole cells")
     return -half_width + (np.arange(count) + 0.5) * step
 
 

@@ -413,8 +413,13 @@ class TestColumnarSweeps:
             (["fig3", "--s-values", "0.5,-1"], "s: coupling ratio must be >= 0, got -1.0"),
             (["fig3", "--s-values", "nan", "--r-step", "0"], "s: coupling ratio must be >= 0, got nan"),
             (["fig3", "--s-values", "0.5,-1", "--r-min", "2", "--r-max", "1"], "s: coupling ratio must be >= 0, got -1.0"),
+            (["fig3", "--s-values=", "--r-min", "-1", "--r-max", "1", "--r-step", "0.5"], "r: coherent amplitude modulus must be >= 0, got -1.0"),
+            (["fig1a", "--phis=", "--s-min", "-1", "--s-max", "1", "--s-step", "0.5"], "s: coupling ratio must be >= 0, got -1.0"),
         ],
-        ids=["negative-swept-value", "bad-angle-before-range", "bad-coupling", "bad-coupling-before-step", "bad-coupling-before-range"],
+        ids=[
+            "negative-swept-value", "bad-angle-before-range", "bad-coupling", "bad-coupling-before-step", "bad-coupling-before-range",
+            "no-coupling-negative-r", "no-angle-negative-s",
+        ],
     )
     def test_invalid_input_names_the_first_invalid_field(self, argv, message, tmp_path, capsys):
         out = tmp_path / "never.csv"

@@ -1,7 +1,9 @@
 """Truncated Fock-space oracle: states, displacement, moments, fidelity."""
 
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -326,3 +328,23 @@ class TestDimensionChecks:
     def test_pointer_columns_need_three_levels(self):
         with pytest.raises(ValueError, match="photon-added state needs dim >= 3, got 2"):
             pointer_columns([0.5], [1.0], 0.3, 2)
+
+
+class TestNonFiniteAmplitudes:
+    """A non-finite amplitude is bad input, refused before numpy warns and without truncation advice."""
+
+    @pytest.mark.parametrize(
+        "build, shown",
+        [
+            (lambda: coherent(complex("inf"), 16), "(inf+0j)"),
+            (lambda: coherent(complex("nan"), 16), "(nan+0j)"),
+            (lambda: spacs(complex("nan"), 16), "(nan+0j)"),
+            (lambda: displace(complex(0, math.inf), basis_state(1, 16)), "infj"),
+        ],
+        ids=["coherent-inf", "coherent-nan", "spacs-nan", "displace-inf"],
+    )
+    def test_refused_with_value_error_naming_it(self, build, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"must be finite, got {re.escape(shown)}"):
+                build()

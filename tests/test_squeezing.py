@@ -200,6 +200,34 @@ class TestFidelityTable:
         values = [table[s][0].report.fidelity_to_initial for s in (0.5, 1.0, 2.0, 3.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_default_table_builds_its_states_in_one_walk(self, monkeypatch):
+        """All couplings' rows share one walk, yet each coupling's columns are its own sweep's, bit for bit."""
+        widths = []
+
+        def counting(alpha, s, w, dim):
+            widths.append(alpha.size)
+            return pointer_columns(alpha, s, w, dim)
+
+        r_values = grid_values(0.0, 3.0, 0.02)
+        monkeypatch.setattr(spacsim.sweeps, "pointer_columns", counting)
+        table = fidelity_columns(FIGURE_PRESET, FIDELITY_COUPLINGS, r_values)
+        assert widths == [256, 256, 92]
+        monkeypatch.undo()
+        assert len(table) == len(FIDELITY_COUPLINGS)
+        for s, got in zip(FIDELITY_COUPLINGS, table):
+            want = sweep_columns(FIGURE_PRESET.with_(s=s), "r", r_values, (FIGURE_PRESET.phi,))
+            for name in ("phi", "r", "s"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (s, name)
+            for name in REPORT_FIELDS:
+                assert getattr(got.report, name).tobytes() == getattr(want.report, name).tobytes(), (s, name)
+            assert got.errors == want.errors
+
+    def test_the_smallest_r_is_named_before_a_coupling(self):
+        # the checks run in field order, as sweep_columns' do: r before s
+        with pytest.raises(RangeError, match="got -1.0") as info:
+            fidelity_columns(FIGURE_PRESET, (-2.0, 0.5), [-1.0, 1.0])
+        assert info.value.field == "r"
+
 
 REPORT_FIELDS = ("s_os", "s_ass", "var_x_min", "var_y_min", "n_mean", "fidelity_to_initial")
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -311,6 +312,13 @@ class TestReferenceRouteInput:
         # the midpoint rule would have no cell, and the integral would read 0
         with pytest.raises(ValueError, match="no cell"):
             route(spacs(1.0, 64), 0.1, 1.0)
+
+    @pytest.mark.parametrize("half_width, step", [(6.0, 0.07), (5.0, 0.3), (6.0, 0.35)])
+    @pytest.mark.parametrize("route", [wigner_normalization, CharacteristicFunctionGrid])
+    def test_step_that_does_not_tile_the_box_is_rejected(self, route, half_width, step):
+        # the axis would be off-centre, and the characteristic grid's lambda -> -lambda mirror wrong
+        with pytest.raises(ValueError, match=re.escape(f"a step of {step!r} does not tile [-{half_width!r}, {half_width!r}]")):
+            route(spacs(1.0, 64), half_width, step)
 
     @pytest.mark.parametrize("step", [1e-6, 1e-300])
     @pytest.mark.parametrize("route", ["normalization", "characteristic"])

@@ -153,6 +153,11 @@ def cases() -> list[tuple[list[str], bool]]:
         ["wigner", "--grid-step", "0.000125"],
         ["wigner", "--backend", "printed", "--grid-step", "0.000125"],
         ["audit", "--wigner-step", "0.001"],
+        # fig3 evaluates all its couplings in one walk, yet still names the first failing row in coupling order:
+        # a truncation too small for the first row, a printed overflow at the second coupling, a repeated coupling
+        ["fig3", "--trunc", "8"],
+        ["fig3", "--backend", "printed", "--s-values", "0.5,1e62,2", "--r-max", "1"],
+        ["fig3", "--s-values", "0.5,0.5,2"],
     ]
     # the help and version texts
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
