@@ -12,7 +12,10 @@ deliverable.
 The oracle states are built in the sweeps' walk,
 :func:`~spacsim.sweeps.pointer_blocks` (runs of one truncation, each
 grouped by (alpha, s), in blocks), and each block's moments are taken
-in one call; a column's bits do not depend on its block.  Every
+in one call; a column's bits do not depend on its block.  A block is
+built on the Fock levels its points reach, so its states can have fewer
+levels than the truncation; the Wigner grid route keeps only the levels
+whose tail mass reaches 1e-32, all of them below that.  Every
 quantity's oracle array is allocated before the walk, and each block
 scatters its moments and kappa^2 into them at the block's grid
 indices.  Only the Wigner comparison runs state by state, because each

@@ -17,6 +17,19 @@ a shift.  :func:`pointer_columns` does this for a whole batch of
 parameter points at once, one column per point.  Coherent amplitudes
 are built in log space, so no intermediate overflows at any amplitude.
 
+A batch need not be built on the whole truncation.
+:func:`reached_levels` gives the levels a point's states reach: up to
+the last level at which the coherent amplitude of |alpha| + s/2, the
+largest among the photon-added state and both branches, is within
+e^-40 of its peak, with a margin, and all of them for a point near the
+top.  The oracle's walk (:func:`spacsim.sweeps.pointer_blocks`) builds
+each block on the most levels its points reach.  No output bit moves:
+every Fock-axis sum adds level by level, and the levels left out would
+add squared amplitudes below e^-80 of the peak, less than the last bit
+of any sum.  A point that fails the tail check at the truncation has
+its mass near the top, so its block is built on every level and its
+error names them all.  This is measured, not proved, so it is tested.
+
 :func:`displaced_columns` applies the truncated displacement unitary,
 obtained by diagonalising its generator once per dimension (the
 factors kept within :data:`BASIS_CACHE_BYTES`), for a batch of
@@ -150,6 +163,11 @@ def _half_log_factorials(dim: int) -> np.ndarray:
     return column
 
 
+def _half_log_factorials_to(dim: int) -> np.ndarray:
+    """The first ``dim`` rows of the cached column of the next power of two, so blocks of many row counts share few columns."""
+    return _half_log_factorials(1 << (dim - 1).bit_length())[:dim]
+
+
 def _coherent_columns(alphas: np.ndarray, dim: int) -> np.ndarray:
     """Coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!), one column per amplitude.
 
@@ -161,7 +179,7 @@ def _coherent_columns(alphas: np.ndarray, dim: int) -> np.ndarray:
     """
     r = np.abs(alphas)
     n = np.arange(dim)[:, None]
-    half_log_fact = _half_log_factorials(dim)
+    half_log_fact = _half_log_factorials_to(dim)
     log_alpha = np.log(np.where(r > 0, r, 1.0)) + 1j * np.angle(alphas)
     with np.errstate(over="ignore"):
         amps = np.exp(n * log_alpha - r**2 / 2 - half_log_fact)
@@ -396,6 +414,31 @@ def pointer_columns(alphas, s, w, dim: int) -> PointerColumns:
     initial[:, bad] = np.nan
     final[:, bad] = np.nan
     return PointerColumns(initial=initial, final=final, norm_sq=norm**2, errors=tuple(errors))
+
+
+def reached_levels(alphas, s, trunc: int) -> np.ndarray:
+    """How many of ``trunc`` Fock levels the states of each point reach, one count per point.
+
+    With a = |alpha| + |s|/2, the largest coherent amplitude among the
+    photon-added state and both branches, L(a) is the last level
+    n < ``trunc`` at which n log a - log(n!)/2 lies within 40 of its
+    largest value, that is, where the coherent amplitude is within e^-40
+    of its peak; L(0) = 0.  A point reaches the smallest multiple of 16
+    that is at least L(a) + 5 and at least 32, capped at ``trunc``, and
+    all ``trunc`` levels where a is not finite or L(a) >= trunc - 8.  The
+    bound is evaluated once per distinct a, over ``trunc`` levels each.
+    """
+    a = np.atleast_1d(np.abs(np.asarray(alphas, dtype=np.complex128)) + np.abs(np.asarray(s, dtype=np.float64)) / 2)
+    if trunc <= 32:  # every count is capped at trunc
+        return np.full(a.shape, trunc)
+    values, inverse = np.unique(a, return_inverse=True)
+    last = np.where(values == 0, 0, trunc - 1)  # a non-finite a reaches every level
+    live = np.isfinite(values) & (values > 0)
+    log_amp = np.arange(trunc)[:, None] * np.log(values[live]) - _half_log_factorials_to(trunc)
+    near = log_amp >= log_amp.max(axis=0) - 40.0
+    last[live] = trunc - 1 - np.argmax(near[::-1], axis=0)
+    rows = np.where(last >= trunc - 8, trunc, np.clip(-(-(last + 5) // 16) * 16, 32, trunc))
+    return rows[inverse].reshape(a.shape)
 
 
 def pointer_column(params: ExperimentParams) -> PointerColumns:

@@ -19,7 +19,9 @@ oracle consumer (the audit too) takes over a point set: runs of one
 truncation in input order, each grouped by (alpha, s) in order of first
 appearance, in consecutive blocks that
 :func:`~spacsim.fock.pointer_columns` builds, the displaced branches
-once per pair for all its angles.  A point whose state fails the
+once per pair for all its angles, on the Fock levels the block's points
+reach (:func:`~spacsim.fock.reached_levels`), with the bits of the
+whole truncation.  A point whose state fails the
 truncation tail check becomes a row error marker while the evaluation
 carries on; any other error propagates.  The printed route evaluates the
 closed forms over all points at once; if one fails, the error names the
@@ -36,7 +38,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .fock import PointerColumns, final_pointer_state, pointer_columns, row_keys
+from .fock import PointerColumns, final_pointer_state, pointer_columns, reached_levels, row_keys
 from .params import ExperimentParams, check_fields, check_grid_elements, check_points, grid_values, validate, weak_value
 from .printed import evaluate_points, printed_moment_columns, printed_wigner_values
 from .squeezing import SqueezingReport, column_report, report_from_moments
@@ -99,8 +101,12 @@ def pointer_blocks(alpha, s, w, trunc: int | np.ndarray) -> Iterator[tuple[np.nd
     grouped by (alpha, s), in order of first appearance, so a pair's
     points side by side share their branches.  A block holds the next
     max(1, BLOCK_ELEMENTS // trunc) points of a run, and its states are
-    built by one :func:`pointer_columns` call when the block is reached.
-    An empty point set yields no block.
+    built by one :func:`pointer_columns` call when the block is reached,
+    on the most Fock levels its points reach
+    (:func:`~spacsim.fock.reached_levels`), never more than the run's
+    truncation.  Each column has the report bits and the error it has on
+    the whole truncation; its states have fewer levels.  An empty point
+    set yields no block.
     """
     truncs = np.broadcast_to(trunc, alpha.shape)
     cuts = np.flatnonzero(truncs[1:] != truncs[:-1]) + 1
@@ -112,7 +118,8 @@ def pointer_blocks(alpha, s, w, trunc: int | np.ndarray) -> Iterator[tuple[np.nd
         width = max(1, BLOCK_ELEMENTS // run_trunc)
         for start in range(0, order.size, width):
             block = order[start : start + width]
-            yield block, pointer_columns(alpha[block], s[block], w[block], run_trunc)
+            rows = int(reached_levels(alpha[block], s[block], run_trunc).max())
+            yield block, pointer_columns(alpha[block], s[block], w[block], rows)
 
 
 def _oracle_report(alpha, s, w, trunc: int, point) -> tuple[SqueezingReport, list[str]]:

@@ -172,7 +172,7 @@ class TestColumns:
         points = default_audit_grid(r_values=(0.5, 1.0), s_values=(0.0, 0.5, 2.0))
         grid = [params.with_(trunc=trunc) for params, trunc in zip(points, (64, 64, 128, 128, 128, 64))]
         mixed = audit_columns(grid)
-        assert dims == [64, 128, 64]
+        assert dims == [32, 48, 64]
         for j, params in enumerate(grid):
             for a, alone in zip(mixed, audit_columns([params]), strict=True):
                 size = alone.oracle.size

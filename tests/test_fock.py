@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spacsim import fock
 from spacsim.errors import DimensionMismatch, TruncationTooSmall
@@ -22,10 +24,12 @@ from spacsim.fock import (
     moments,
     pointer_columns,
     pointer_norm_sq,
+    reached_levels,
     spacs,
 )
 from spacsim.params import FIGURE_PRESET, weak_value
 from spacsim.printed import printed_kappa_sq
+from spacsim.squeezing import column_report
 
 
 class TestCoherent:
@@ -303,6 +307,54 @@ class TestPointerColumns:
         cols = pointer_columns(p.alpha, p.s, weak_value(p.delta, p.phi), p.trunc)
         assert np.array_equal(final_pointer_state(p).amps, cols.final[:, 0])
         assert pointer_norm_sq(p) == float(cols.norm_sq[0])
+
+
+def _report_bytes(cols) -> list[bytes]:
+    return [column.tobytes() for column in vars(column_report(cols)).values()]
+
+
+#: (r, theta, s, delta, phi) of one point: phi in [0, pi), near pi about one time in three.
+_POINT = st.tuples(
+    st.floats(0.0, 6.0),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.0, 8.0),
+    st.floats(0.0, 2 * math.pi),
+    st.one_of(st.floats(0.0, math.pi, exclude_max=True), st.floats(1e-6, 1e-3).map(lambda d: math.pi - d)),
+)
+
+
+class TestReachedLevels:
+    """A block built on the levels its points reach has the bits it has on the full truncation."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(points=st.lists(_POINT, min_size=1, max_size=6), trunc=st.integers(6, 384))
+    @example(points=[(6.0, 0.0, 8.0, 0.0, math.pi - 1e-6), (0.0, 0.0, 0.0, 0.0, 0.0)], trunc=384)
+    @example(points=[(6.0, 1.0, 8.0, 2.0, 2.0), (0.5, 0.0, 1.0, 0.0, 1.0)], trunc=100)  # the first fails at 100
+    def test_reached_levels_change_no_bit(self, points, trunc):
+        r, theta, s, delta, phi = (np.array(column) for column in zip(*points))
+        alphas = r * np.exp(1j * theta)
+        w = np.array([weak_value(d, p) for d, p in zip(delta.tolist(), phi.tolist())])
+        rows = reached_levels(alphas, s, trunc)
+        full = pointer_columns(alphas, s, w, trunc)
+        assert rows.shape == r.shape and np.all(rows <= trunc)
+        assert all(count == trunc for count, error in zip(rows.tolist(), full.errors) if error)
+        block = pointer_columns(alphas, s, w, int(rows.max()))
+        assert block.errors == full.errors
+        assert _report_bytes(block) == _report_bytes(full)
+        for j in range(r.size):
+            alone, at_trunc = (pointer_columns(alphas[j], s[j], w[j], dim) for dim in (int(rows[j]), trunc))
+            assert alone.errors == at_trunc.errors
+            assert _report_bytes(alone) == _report_bytes(at_trunc)
+
+    def test_counts_follow_the_bound(self):
+        # a = |alpha| + s/2: a = 0 reaches 32 levels; a = 3 has its last level within e^-40 of the peak
+        # at 68, so it reaches 80 levels, capped at the truncation; a = 4.15 has it at 91, so it reaches
+        # 96 levels, and all 99 of a truncation whose top 8 levels include 91; a non-finite a reaches every level
+        counts = reached_levels([0.0, 1.0, 1.5j, 1e308], [0.0, 4.0, 3.0, 1e308], 128)
+        assert counts.tolist() == [32, 80, 80, 128]
+        assert [reached_levels(1.0, 4.0, trunc).item() for trunc in (77, 81)] == [77, 80]
+        assert [reached_levels(4.15, 0.0, trunc).item() for trunc in (99, 100)] == [99, 96]
+        assert reached_levels([0.5, 40.0], 0.5, 24).tolist() == [24, 24]
 
 
 class TestDimensionChecks:

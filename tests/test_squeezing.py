@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spacsim.sweeps
+from spacsim.cli import main
 from spacsim.audit import default_audit_grid
 from spacsim.errors import DegeneratePostselection, NumericalOverflow, RangeError, TruncationTooSmall
 from spacsim.fock import (
@@ -370,10 +371,28 @@ class TestPointerBlocks:
         trunc = np.array([64, 64, 64, 64, 128, 128, 128, 64, 64])
         blocks = [block.tolist() for block, _ in pointer_blocks(alpha, s, w, trunc)]
         assert blocks == [[0, 2], [1, 3], [4], [5], [6], [7, 8]]
-        for block, (a, b, c, dim) in zip(blocks, calls, strict=True):
-            assert {int(trunc[j]) for j in block} == {dim}
+        # each block is built on the levels its points reach, at most its run's truncation
+        for block, rows, (a, b, c, dim) in zip(blocks, [32, 64, 64, 64, 32, 64], calls, strict=True):
+            assert dim == rows
             for got, column in zip((a, b, c), (alpha, s, w)):
                 assert got.tobytes() == column[block].tobytes()
+
+    @pytest.mark.parametrize(
+        "argv, widths, rows",
+        [
+            (["fig1a"], [256, 256, 256, 36], [48, 64, 80, 80]),
+            (["fig2a", "--trunc", "256"], [128] * 6 + [36], [48, 48, 64, 64, 80, 80, 80]),
+        ],
+        ids=["fig1a", "fig2a-trunc-256"],
+    )
+    def test_default_figures_build_their_blocks_below_the_truncation(self, monkeypatch, tmp_path, argv, widths, rows):
+        # the block widths still follow the run's truncation; only the levels each block is built on shrink
+        calls = []
+        original = spacsim.sweeps.pointer_columns
+        monkeypatch.setattr(spacsim.sweeps, "pointer_columns", lambda *args: calls.append(args) or original(*args))
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert [args[0].size for args in calls] == widths
+        assert [args[3] for args in calls] == rows
 
     @pytest.mark.parametrize("trunc", [128, np.empty(0, dtype=int)], ids=["one_truncation", "per_point"])
     def test_an_empty_point_set_yields_no_block(self, trunc):

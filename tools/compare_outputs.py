@@ -158,6 +158,12 @@ def cases() -> list[tuple[list[str], bool]]:
         ["fig3", "--trunc", "8"],
         ["fig3", "--backend", "printed", "--s-values", "0.5,1e62,2", "--r-max", "1"],
         ["fig3", "--s-values", "0.5,0.5,2"],
+        # blocks built on the levels their points reach (fig1b --r-max 30 --trunc 2048 above takes counts up to 2048):
+        # a coupling sweep far below its truncation, an audit whose r = 10 states need most of it, and rows that fail
+        # at a truncation that is not a multiple of 16, whose errors name all 100 levels
+        ["fig2a", "--s-max", "8", "--trunc", "512"],
+        ["audit", "--r-values", "0,5,10", "--s-values", "0,2", "--trunc", "512"],
+        ["fig1b", "--r-max", "10", "--trunc", "100"],
     ]
     # the help and version texts
     printing = [["--help"], ["--version"], []] + [[name, "--help"] for name in COMMANDS]
